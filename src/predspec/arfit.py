@@ -36,6 +36,12 @@ def _recursion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.roots(np.concatenate(([1.0], -np.asarray(coeffs, dtype=float))))
 
 
+def _transfer_polynomial(coeffs: np.ndarray, freqs) -> np.ndarray:
+    """1 - sum_j coeffs[j-1] * exp(-1j*j*w) at each frequency (1 when empty)."""
+    j = np.arange(1, np.size(coeffs) + 1)
+    return 1.0 - np.exp(-1j * np.multiply.outer(np.asarray(freqs, dtype=float), j)) @ coeffs
+
+
 @dataclass(frozen=True)
 class ArModel:
     """Causal AR(p) model: coefficients a[1..p] and innovation variance."""
@@ -62,11 +68,7 @@ class ArModel:
 
     def transfer(self, freqs: np.ndarray) -> np.ndarray:
         """a(w) = 1 - sum_j a[j] exp(-1j*j*w)."""
-        w = np.asarray(freqs, dtype=float)
-        if self.p == 0:
-            return np.ones(w.shape, dtype=complex)
-        j = np.arange(1, self.p + 1)
-        return 1.0 - np.exp(-1j * np.multiply.outer(w, j)) @ self.coeffs
+        return _transfer_polynomial(self.coeffs, freqs)
 
     def density(self, freqs: np.ndarray) -> np.ndarray:
         aw = self.transfer(freqs)
@@ -112,18 +114,10 @@ class ArmaModel:
         return self.ma.size
 
     def ar_polynomial(self, freqs: np.ndarray) -> np.ndarray:
-        w = np.asarray(freqs, dtype=float)
-        if self.p == 0:
-            return np.ones(w.shape, dtype=complex)
-        j = np.arange(1, self.p + 1)
-        return 1.0 - np.exp(-1j * np.multiply.outer(w, j)) @ self.ar
+        return _transfer_polynomial(self.ar, freqs)
 
     def ma_polynomial(self, freqs: np.ndarray) -> np.ndarray:
-        w = np.asarray(freqs, dtype=float)
-        if self.q == 0:
-            return np.ones(w.shape, dtype=complex)
-        j = np.arange(1, self.q + 1)
-        return 1.0 + np.exp(-1j * np.multiply.outer(w, j)) @ self.ma
+        return _transfer_polynomial(-self.ma, freqs)
 
     def density(self, freqs: np.ndarray) -> np.ndarray:
         phi = self.ar_polynomial(freqs)
@@ -234,11 +228,12 @@ def aic_select(ts: TimeSeries, max_order: int | None = None) -> OrderSelection:
     target = x[k_n:]
     m = target.size
     aic = np.empty(k_n)
-    with np.errstate(divide="ignore"):
-        for p in range(1, k_n + 1):
-            resid = target - lagmat[:, :p] @ coeffs[p]
-            s2 = float(resid @ resid) / m
-            aic[p - 1] = np.log(s2) + 2.0 * p / n
+    for p in range(1, k_n + 1):
+        resid = target - lagmat[:, :p] @ coeffs[p]
+        s2 = float(resid @ resid) / m
+        if s2 <= 0.0:
+            raise NumericalError(f"zero residual variance at order {p}: the criterion would be -inf")
+        aic[p - 1] = np.log(s2) + 2.0 * p / n
     chosen = int(np.argmin(aic)) + 1
     model = ArModel(coeffs[chosen], float(sigma2_lev[chosen]))
     return OrderSelection(chosen_p=chosen, k_n=k_n, aic_values=aic, model=model)

@@ -94,13 +94,22 @@ def _comment(argv: list) -> str:
 
 # ------------------------------------------------------------- flag plumbing
 
+def _number(kind, token: str, what: str):
+    """kind(token) (int or float), reporting a malformed token as bad input."""
+    try:
+        return kind(token)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise DomainError(f"{what} must be {noun}, got {token!r}") from None
+
+
 def _parse_model_token(token: str) -> ArmaModel:
     name, _, param = token.partition(":")
     name = name.strip().lower()
     if name == "m1":
         if not param:
             raise DomainError("model m1 needs a parameter, e.g. m1:0.9")
-        return builtin_models("m1", float(param))
+        return builtin_models("m1", _number(float, param, "the m1 parameter"))
     if name == "m2":
         if param:
             raise DomainError("model m2 takes no parameter")
@@ -124,7 +133,7 @@ def _parse_grid(value: str, n: int) -> FrequencyGrid:
     if value == "fourier":
         return FrequencyGrid.fourier(n)
     if value.startswith("uniform:"):
-        return FrequencyGrid.uniform(int(value.split(":", 1)[1]))
+        return FrequencyGrid.uniform(_number(int, value.split(":", 1)[1], "the uniform grid size"))
     raise DomainError(f"grid must be 'fourier' or 'uniform:N', got {value!r}")
 
 
@@ -133,7 +142,7 @@ def _estimator_from_flags(args) -> EstimatorSpec:
     source = None
     if kind in ("complete", "tapered-complete"):
         if args.order != "auto":
-            source = FixedOrder(int(args.order))
+            source = FixedOrder(_number(int, args.order, "--order"))
         else:
             source = AutoAIC()
     taper_d = getattr(args, "taper_d", None)
@@ -219,9 +228,9 @@ def _cmd_whittle(args, argv) -> int:
     name, _, param = args.family.partition(":")
     if name.strip().lower() != "ar" or not param:
         raise DomainError("family must be 'ar:P' for an AR(P) spectral family")
-    family = ar_family(int(param))
+    family = ar_family(_number(int, param, "the family order"))
     if args.init is not None:
-        init = [float(tok) for tok in args.init.split(",")]
+        init = [_number(float, tok, "--init") for tok in args.init.split(",")]
     else:
         init = [0.0] * family.dim
     est = _estimator_from_flags(args)
@@ -256,7 +265,7 @@ def _cmd_experiment(args, argv) -> int:
         spec = parse_experiment_config(fh.read())
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
+        threads = _number(int, os.environ.get(THREADS_ENV, "1"), THREADS_ENV)
     table = run_experiment(spec, threads=threads)
     acf_mode = table.mode == "acf"
     cols = {
@@ -325,9 +334,9 @@ def parse_experiment_config(text: str) -> ExperimentSpec:
         raise DomainError("config must set integer 'n', 'B', and 'seed'")
 
     order_token = pop("order", "auto")
-    source = AutoAIC() if order_token == "auto" else FixedOrder(int(order_token))
+    source = AutoAIC() if order_token == "auto" else FixedOrder(_number(int, order_token, "order"))
     taper_token = pop("taper_d", None)
-    taper_d = int(taper_token) if taper_token is not None else None
+    taper_d = _number(int, taper_token, "taper_d") if taper_token is not None else None
 
     est_tokens = [tok.strip() for tok in pop("estimators", "").split(",") if tok.strip()]
     if not est_tokens:
@@ -347,19 +356,17 @@ def parse_experiment_config(text: str) -> ExperimentSpec:
     kwargs: dict = {}
     threshold = pop("threshold", None)
     if threshold is not None:
-        kwargs["threshold"] = float(threshold)
+        kwargs["threshold"] = _number(float, threshold, "threshold")
     window = pop("window", None)
     m_token = pop("m", None)
     if (window is None) != (m_token is None):
         raise DomainError("smoothing needs both 'window' and 'm'")
     if window is not None:
-        kwargs["smoothing"] = (window, int(m_token))
-    acf_lags = pop("acf_lags", None)
-    if acf_lags is not None:
-        kwargs["acf_lags"] = int(acf_lags)
-    acf_points = pop("acf_points", None)
-    if acf_points is not None:
-        kwargs["acf_points"] = int(acf_points)
+        kwargs["smoothing"] = (window, _number(int, m_token, "m"))
+    for key in ("acf_lags", "acf_points"):
+        token = pop(key, None)
+        if token is not None:
+            kwargs[key] = _number(int, token, key)
     if entries:
         raise DomainError(f"unknown config keys: {', '.join(sorted(entries))}")
     return ExperimentSpec(
@@ -374,10 +381,13 @@ def parse_experiment_config(text: str) -> ExperimentSpec:
 
 def format_experiment_config(spec: ExperimentSpec) -> str:
     """Serialize a spec back to the config format (shared-flag estimators)."""
-    lines = ["model = m2"]
-    if spec.model.q == 0 and spec.model.p == 2 and spec.model.ar[0] == 0.0:
-        lam = float(np.sqrt(-spec.model.ar[1]))
-        lines = ["model = m1", f"lambda = {_fmt(lam)}"]
+    model, m2 = spec.model, builtin_models("m2")
+    if model.p == 2 and model.q == 0 and model.ar[0] == 0.0 and model.ar[1] < 0.0 and model.sigma2 == 1.0:
+        lines = ["model = m1", f"lambda = {_fmt(np.sqrt(-model.ar[1]))}"]
+    elif np.array_equal(model.ar, m2.ar) and np.array_equal(model.ma, m2.ma) and model.sigma2 == m2.sigma2:
+        lines = ["model = m2"]
+    else:
+        raise DomainError("the config format names only the builtin models m1 and m2")
     lines += [
         f"n = {spec.n}",
         f"B = {spec.replications}",

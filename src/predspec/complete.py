@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 import scipy.linalg
 
-from .arfit import ArModel, aic_select, yule_walker_fit
+from .arfit import ArModel, _transfer_polynomial, aic_select, yule_walker_fit
 from .core import (
     FrequencyGrid,
     PeriodogramEstimate,
@@ -84,38 +84,53 @@ class FixedOrder:
 ModelSource = Union[Explicit, TruncatedInfinite, AutoAIC, FixedOrder]
 
 
-def _hankel_tail(a: np.ndarray, rows: int) -> np.ndarray:
-    """Matrix C with C[l, s] = a[l + s] (zero once l + s runs off the end)."""
+def _boundary_weights(a: np.ndarray, n: int, freqs: np.ndarray):
+    """Backcast and forecast weight blocks of the closed-form correction.
+
+    For coefficients a[1..m], taken as zero beyond m, row l of the first
+    block weighs x[1 + l] and row l of the second weighs x[n - l]; each has
+    min(n, m) rows, so the correction reads only the first and last min(n, m)
+    observations.  The weights divide by a(w), so a transfer polynomial with
+    |a(w)| < 1e-8 anywhere on the grid raises NumericalError.
+    """
+    aw = _transfer_polynomial(a, freqs)
+    if np.min(np.abs(aw)) < 1e-8:
+        raise NumericalError("AR transfer function vanishes on the grid (|a(w)| < 1e-8)")
     m = a.size
-    return scipy.linalg.hankel(a, np.zeros(m))[:rows]
+    C = scipy.linalg.hankel(a, np.zeros(m))[: min(n, m)]  # C[l, s] = a[l + s + 1]
+    s = np.arange(m)
+    root_n = np.sqrt(n)
+    back = (C @ np.exp(-1j * np.outer(s, freqs))) / (root_n * aw)
+    fwd = (C @ np.exp(1j * np.outer(s + 1, freqs))) * np.exp(1j * n * freqs) / (root_n * np.conj(aw))
+    return back, fwd
+
+
+def _extension_transform(x: np.ndarray, a: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    back, fwd = _boundary_weights(a, x.size, grid.frequencies)
+    r = back.shape[0]
+    return x[:r] @ back + x[::-1][:r] @ fwd
+
+
+def _check_order(p: int, n: int) -> None:
+    if n < 1:
+        raise DomainError("series length must be >= 1")
+    if p > n:
+        raise DomainError(f"closed form needs order p <= n (p={p}, n={n})")
 
 
 def predictive_dft_matrix(model: ArModel, n: int, grid: FrequencyGrid) -> np.ndarray:
     """Coefficient matrix D (n x grid.size) with predictive DFT = x @ D.
 
     Exposing the linear form lets exact-expectation checks treat the
-    correction as a vector of weights on the observations.
+    correction as a vector of weights on the observations; only the first
+    and last p rows are nonzero.
     """
-    p = model.p
-    if n < 1:
-        raise DomainError("series length must be >= 1")
-    if p > n:
-        raise DomainError(f"closed form needs order p <= n (p={p}, n={n})")
-    w = grid.frequencies
-    D = np.zeros((n, w.size), dtype=complex)
-    if p == 0:
-        return D
-    a = model.coeffs
-    aw = model.transfer(w)
-    C = _hankel_tail(a, p)
-    s = np.arange(p)
-    down = np.exp(-1j * np.outer(s, w))  # e^{-i s w}
-    up = np.exp(1j * np.outer(s + 1, w))  # e^{+i (s+1) w}
-    root_n = np.sqrt(n)
-    # backcast part: weight on x[l], l = 1..p
-    D[:p] += (C @ down) / (root_n * aw)
-    # forecast part: weight on x[n+1-l], l = 1..p
-    D[n - p :] += ((C @ up) / (root_n * np.conj(aw)) * np.exp(1j * n * w))[::-1]
+    _check_order(model.p, n)
+    back, fwd = _boundary_weights(model.coeffs, n, grid.frequencies)
+    r = back.shape[0]
+    D = np.zeros((n, grid.size), dtype=complex)
+    D[:r] += back
+    D[n - r :] += fwd[::-1]
     return D
 
 
@@ -126,7 +141,8 @@ def predictive_dft(ts: TimeSeries, model: ArModel, grid: FrequencyGrid) -> np.nd
     forecasts at t > n) transformed at each grid frequency.  Requires
     p <= n; an order-0 model yields zero correction.
     """
-    return ts.values @ predictive_dft_matrix(model, ts.n, grid)
+    _check_order(model.p, ts.n)
+    return _extension_transform(ts.values, model.coeffs, grid)
 
 
 def predictive_dft_truncated_infinite(
@@ -138,28 +154,7 @@ def predictive_dft_truncated_infinite(
     long coefficient vector a[1..M] (an expanded ARMA model, say) treated as
     zero beyond M.  All n observations can contribute when M > n.
     """
-    a = np.asarray(ar_coeffs, dtype=float)
-    if a.ndim != 1 or a.size < 1:
-        raise DomainError("coefficient sequence must be a non-empty 1-d array")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("coefficient sequence must be finite")
-    n = ts.n
-    m = a.size
-    w = grid.frequencies
-    j = np.arange(1, m + 1)
-    aw = 1.0 - np.exp(-1j * np.multiply.outer(w, j)) @ a
-    if np.min(np.abs(aw)) < 1e-8:
-        raise NumericalError("transfer function of the coefficient sequence vanishes on the grid")
-    rows = min(n, m)
-    C = _hankel_tail(a, rows)
-    s = np.arange(m)
-    down = np.exp(-1j * np.outer(s, w))
-    up = np.exp(1j * np.outer(s + 1, w))
-    x = ts.values
-    root_n = np.sqrt(n)
-    left = (x[:rows] @ (C @ down)) / (root_n * aw)
-    right = (x[n - rows :][::-1] @ (C @ up)) * np.exp(1j * n * w) / (root_n * np.conj(aw))
-    return left + right
+    return _extension_transform(ts.values, TruncatedInfinite(ar_coeffs).coeffs, grid)
 
 
 def _resolve_source(ts: TimeSeries, source: ModelSource):

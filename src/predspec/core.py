@@ -343,20 +343,13 @@ def raw_periodogram(
     """Squared-modulus periodogram, untapered or shape-tapered.
 
     Untapered: |dft|**2.  Tapered: |sum_t h(t/n) x[t] exp(1j*t*w)|**2 / h2,
-    built from the raw taper shape with its own second-moment normalizer
-    (the rescaled-weight convention is used only by the tapered DFT factor of
-    completed periodograms).
+    the raw taper shape with its own second-moment normalizer; since the
+    tapered DFT weights the data by h(t/n) * n / h1, that is its squared
+    modulus times h1**2 / (n * h2).
     """
-    n = ts.n
+    j = dft(ts, grid, taper)
+    vals = j.real**2 + j.imag**2
     if taper is None:
-        j = dft(ts, grid)
-        vals = (j.real**2 + j.imag**2).astype(complex)
         return PeriodogramEstimate(grid, vals, kind="regular")
-    if taper.n != n:
-        raise DomainError("taper length does not match the series")
-    weighted = ts.values * taper.raw_shape
-    j = weighted @ _phase_matrix(n, grid.frequencies)
-    vals = ((j.real**2 + j.imag**2) / taper.h2).astype(complex)
-    return PeriodogramEstimate(
-        grid, vals, kind="tapered", meta=PgMeta(taper=taper.description)
-    )
+    vals *= taper.h1**2 / (ts.n * taper.h2)
+    return PeriodogramEstimate(grid, vals, kind="tapered", meta=PgMeta(taper=taper.description))

@@ -13,6 +13,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 import scipy.optimize
 
+from .arfit import _transfer_polynomial
 from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries
 from .complete import threshold_real
 from .estimators import EstimatorSpec, evaluate_estimator
@@ -137,6 +138,24 @@ def spectral_mean(
     return complex(np.mean(gw * vals))
 
 
+def _cosine_moments(vals: np.ndarray, freqs: np.ndarray, lags: int) -> np.ndarray:
+    """Grid means of cos(r*w) * vals for r = 0..lags, along the last axis.
+
+    One matrix-vector product per row, so each row's result is the same
+    whichever rows are reduced beside it.
+    """
+    basis = np.cos(np.outer(np.arange(lags + 1), freqs))
+    return np.apply_along_axis(lambda row: basis @ row, -1, vals) / freqs.size
+
+
+def _smooth_rows(vals: np.ndarray, window: SpectralWindow) -> np.ndarray:
+    """Circular moving average sum_j W(j) * vals[..., (k + j) mod n] along the last axis."""
+    out = np.zeros(vals.shape)
+    for offset, weight in zip(range(-window.m, window.m + 1), window.weights):
+        out += weight * np.roll(vals, -offset, axis=-1)
+    return out
+
+
 def acf_estimate(
     ts: TimeSeries,
     lags: int,
@@ -159,10 +178,7 @@ def acf_estimate(
         raise DomainError("lag range must stay below the series length")
     grid = cfg.grid_for(ts.n)
     pg = evaluate_estimator(ts, estimator, grid, true_model=true_model)
-    vals = _prepared_values(pg, cfg).real
-    w = grid.frequencies
-    r = np.arange(lags + 1)
-    autocov = (np.cos(np.outer(r, w)) @ vals) / w.size
+    autocov = _cosine_moments(_prepared_values(pg, cfg).real, grid.frequencies, lags)
     if autocov[0] <= 0.0:
         raise NumericalError(
             "nonpositive variance estimate; use a thresholded estimate (set cfg.threshold)"
@@ -181,10 +197,7 @@ def smooth_periodogram(pg: PeriodogramEstimate, window: SpectralWindow) -> Perio
     n = pg.grid.size
     if 2 * window.m + 1 > n:
         raise DomainError("window wider than the frequency grid")
-    vals = pg.values.real
-    out = np.zeros(n)
-    for offset, weight in zip(range(-window.m, window.m + 1), window.weights):
-        out += weight * np.roll(vals, -offset)
+    out = _smooth_rows(pg.values.real, window)
     meta = replace(pg.meta, window=f"{window.kind}(m={window.m})")
     return PeriodogramEstimate(pg.grid, out.astype(complex), kind=pg.kind, meta=meta)
 
@@ -218,10 +231,8 @@ def ar_family(p: int, limit: float = 0.99) -> SpectralFamily:
         raise DomainError("family order must be >= 1")
 
     def density(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
-        j = np.arange(1, p + 1)
-        aw = 1.0 - np.exp(-1j * np.multiply.outer(w, j)) @ theta
-        mod2 = aw.real**2 + aw.imag**2
-        return 1.0 / mod2
+        aw = _transfer_polynomial(theta, w)
+        return 1.0 / (aw.real**2 + aw.imag**2)
 
     return SpectralFamily(density=density, bounds=((-limit, limit),) * p, name=f"ar({p})")
 

@@ -20,7 +20,7 @@ from .complete import threshold_real
 from .core import FrequencyGrid, TimeSeries
 from .estimators import EstimatorSpec, evaluate_estimator
 from .exceptions import DomainError
-from .integrated import SpectralWindow, spectral_window
+from .integrated import _cosine_moments, _smooth_rows, spectral_window
 
 __all__ = [
     "split_seed",
@@ -198,8 +198,6 @@ class _Prep:
         if spec.acf_lags is not None:
             self.mode = "acf"
             self.grid = FrequencyGrid.uniform(spec.acf_points)
-            r = np.arange(spec.acf_lags + 1)
-            self.cos_matrix = np.cos(np.outer(r, self.grid.frequencies))
             expansion = arma_expand(spec.model, M=max(spec.acf_lags, 1))
             c = expansion.autocov.lags
             self.true_target = c[1 : spec.acf_lags + 1] / c[0]
@@ -209,9 +207,6 @@ class _Prep:
             self.grid = FrequencyGrid.fourier(n)
             self.true_target = spec.model.density(self.grid.frequencies)
             self.dim = n
-        self.window: SpectralWindow | None = (
-            spectral_window(*spec.smoothing) if spec.smoothing is not None else None
-        )
         self.true_ar = None
         if any(est.kind == "complete-true" for est in spec.estimators):
             if spec.model.q != 0:
@@ -224,27 +219,29 @@ class _Prep:
         pg = evaluate_estimator(ts, est, self.grid, true_model=self.true_ar)
         if est.kind in _COMPLETE_KINDS:
             pg = threshold_real(pg, self.spec.threshold)
-        vals = pg.values.real
+        return pg.values.real
+
+    def reduce(self, block: np.ndarray) -> np.ndarray:
+        """Per-replication metric inputs from a block of evaluated rows."""
         if self.mode == "acf":
-            autocov = (self.cos_matrix @ vals) / self.grid.size
-            return autocov[1:] / autocov[0]
-        if self.window is not None:
-            out = np.zeros(vals.size)
-            m = self.window.m
-            for offset, weight in zip(range(-m, m + 1), self.window.weights):
-                out += weight * np.roll(vals, -offset)
-            vals = out
-        return vals
+            autocov = _cosine_moments(block, self.grid.frequencies, self.spec.acf_lags)
+            return autocov[:, 1:] / autocov[:, :1]
+        if self.mode == "smoothed":
+            return _smooth_rows(block, spectral_window(*self.spec.smoothing))
+        return block
+
+
+_SERIAL_BLOCK = 256  # replications per serial block
 
 
 def _run_block(spec: ExperimentSpec, b0: int, b1: int):
     prep = _Prep(spec)
-    blocks = [np.empty((b1 - b0, prep.dim)) for _ in spec.estimators]
+    blocks = [np.empty((b1 - b0, prep.grid.size)) for _ in spec.estimators]
     for i, b in enumerate(range(b0, b1)):
         ts = TimeSeries(_simulate_values(spec.model, spec.n, split_seed(spec.seed, b)))
         for out, est in zip(blocks, spec.estimators):
             out[i] = prep.evaluate(ts, est)
-    return b0, blocks
+    return b0, [prep.reduce(block) for block in blocks]
 
 
 def _summarize(spec: ExperimentSpec, prep: _Prep, slots) -> tuple:
@@ -292,8 +289,8 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> MetricTable:
 
     `threads` > 1 distributes whole replications over worker processes;
     results are bit-identical to the serial run because every replication
-    is seeded independently and reduced from preallocated slots in index
-    order.
+    is seeded independently, smoothed or reduced to autocorrelations one row
+    at a time, and summarized from preallocated slots in index order.
     """
     if threads < 1:
         raise DomainError("threads must be >= 1")
@@ -301,10 +298,15 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> MetricTable:
     prep = _Prep(spec)  # validates estimator/model compatibility up front
     B = spec.replications
     slots = [np.empty((B, prep.dim)) for _ in spec.estimators]
-    if threads == 1 or B < 2 * threads:
-        _, blocks = _run_block(spec, 0, B)
+
+    def fill(b0, blocks):
         for slot, block in zip(slots, blocks):
-            slot[:] = block
+            slot[b0 : b0 + block.shape[0]] = block
+
+    if threads == 1 or B < 2 * threads:
+        # bounded blocks keep the unreduced rows small however large B is
+        for b0 in range(0, B, _SERIAL_BLOCK):
+            fill(*_run_block(spec, b0, min(b0 + _SERIAL_BLOCK, B)))
     else:
         bounds = np.linspace(0, B, 4 * threads + 1, dtype=int)
         spans = [
@@ -313,9 +315,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> MetricTable:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(_run_block, spec, a, b) for a, b in spans]
             for fut in futures:
-                b0, blocks = fut.result()
-                for slot, block in zip(slots, blocks):
-                    slot[b0 : b0 + block.shape[0]] = block
+                fill(*fut.result())
     rows = _summarize(spec, prep, slots)
     runtime = time.perf_counter() - start
     return MetricTable(mode=prep.mode, rows=rows, runtime_seconds=runtime)

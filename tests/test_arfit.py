@@ -119,6 +119,15 @@ def test_aic_default_candidate_cap():
     assert 1 <= sel.chosen_p <= 3
 
 
+def test_aic_rejects_zero_residual_variance():
+    # a lone spike leaves every candidate order with zero residuals on the
+    # common window: log(0) must surface as an error, not as an AIC of -inf
+    x = np.zeros(20)
+    x[0] = 1.0
+    with pytest.raises(NumericalError):
+        aic_select(TimeSeries(x))
+
+
 def test_aic_determinism():
     ts = simulate_arma(builtin_models("m1", 0.9), 100, 42)
     a = aic_select(ts)

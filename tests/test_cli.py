@@ -5,7 +5,17 @@ import sys
 import numpy as np
 import pytest
 
-from predspec import FrequencyGrid, TimeSeries, raw_periodogram, simulate_arma, builtin_models
+from predspec import (
+    ArmaModel,
+    DomainError,
+    EstimatorSpec,
+    ExperimentSpec,
+    FrequencyGrid,
+    TimeSeries,
+    builtin_models,
+    raw_periodogram,
+    simulate_arma,
+)
 from predspec.cli import format_experiment_config, main, parse_experiment_config
 
 
@@ -61,6 +71,18 @@ def test_input_error_exit_code(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("\n\n")
     assert main(["periodogram", str(empty)]) == 2
+    # malformed numbers in flags are input errors, not tracebacks
+    good = tmp_path / "good.csv"
+    _write_series(good, np.random.default_rng(1).standard_normal(32))
+    for argv in (
+        ["periodogram", str(good), "--kind", "complete", "--order", "foo"],
+        ["periodogram", str(good), "--grid", "uniform:abc"],
+        ["simulate", "--model", "m1:abc", "--n", "5", "--seed", "1"],
+        ["whittle", str(good), "--family", "ar:two"],
+        ["whittle", str(good), "--family", "ar:2", "--init", "0.1,x"],
+    ):
+        assert main(argv) == 2, argv
+        assert "error" in capsys.readouterr().err
 
 
 def test_numerical_error_exit_code(tmp_path, capsys):
@@ -151,7 +173,7 @@ def test_experiment_command(tmp_path):
     assert rows[3].startswith("complete,")
 
 
-def test_experiment_config_errors(tmp_path, capsys):
+def test_experiment_config_errors(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.cfg"
     bad.write_text("model = m1\nlambda = 0.9\nn = 16\nB = 10\nseed = 1\n"
                    "estimators = regular\nwindow = bartlett\n")
@@ -161,6 +183,17 @@ def test_experiment_config_errors(tmp_path, capsys):
     assert main(["experiment", str(bad)]) == 2
     bad.write_text("model = m3\nn = 16\nB = 10\nseed = 1\nestimators = regular\n")
     assert main(["experiment", str(bad)]) == 2
+    base = "model = m1\nn = 16\nB = 10\nseed = 1\nestimators = regular, tapered-complete\n"
+    for extra in ("lambda = abc", "order = foo", "taper_d = 2.5", "threshold = abc",
+                  "window = bartlett\nm = x", "acf_lags = many", "acf_lags = 3\nacf_points = 1e3"):
+        lam = "" if extra.startswith("lambda") else "lambda = 0.9\n"
+        bad.write_text(base + lam + extra + "\n")
+        assert main(["experiment", str(bad)]) == 2, extra
+        assert "error" in capsys.readouterr().err
+    bad.write_text(base + "lambda = 0.9\n")
+    monkeypatch.setenv("PREDSPEC_THREADS", "abc")
+    assert main(["experiment", str(bad)]) == 2
+    assert "PREDSPEC_THREADS" in capsys.readouterr().err
 
 
 def test_config_format_parse_roundtrip():
@@ -171,6 +204,16 @@ def test_config_format_parse_roundtrip():
     assert spec.smoothing == ("bartlett", 2)
     assert format_experiment_config(parse_experiment_config(format_experiment_config(spec))) \
         == format_experiment_config(spec)
+    m1 = parse_experiment_config("model = m1\nlambda = 0.9\nn = 20\nB = 10\nseed = 3\n"
+                                 "estimators = regular, complete\norder = 2\nacf_lags = 4\n")
+    again = parse_experiment_config(format_experiment_config(m1))
+    assert again.model.ar.tolist() == m1.model.ar.tolist()
+    assert format_experiment_config(again) == format_experiment_config(m1)
+    # a model the format cannot name must not be written as some other model
+    ar1 = ExperimentSpec(model=ArmaModel([0.5], [], 1.0), n=20, replications=10,
+                         estimators=(EstimatorSpec("regular"),), seed=1)
+    with pytest.raises(DomainError):
+        format_experiment_config(ar1)
 
 
 def test_verify_subcommand_runs(capsys):

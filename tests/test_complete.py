@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predspec import (
     ArModel,
+    ArmaModel,
     AutoAIC,
     DomainError,
     Explicit,
@@ -16,6 +19,7 @@ from predspec import (
     complete_periodogram,
     dft,
     predictive_dft,
+    predictive_dft_bruteforce,
     predictive_dft_matrix,
     predictive_dft_truncated_infinite,
     raw_periodogram,
@@ -108,6 +112,12 @@ def test_truncated_infinite_rejects_vanishing_transfer():
     # a(0) = 1 - 1 = 0
     with pytest.raises(NumericalError):
         predictive_dft_truncated_infinite(ts, np.array([1.0 - 1e-12]), g)
+    # the finite and the truncated sources share one guard: a causal AR(1)
+    # with |a(0)| = 1e-9 must raise, not return values of order 1/|a(0)|
+    series = simulate_arma(builtin_models("m1", 0.7), 100, 3)
+    for source in (Explicit(ArModel([1.0 - 1e-9], 1.0)), TruncatedInfinite([1.0 - 1e-9])):
+        with pytest.raises(NumericalError):
+            complete_periodogram(series, source, FrequencyGrid.fourier(100))
 
 
 def test_complete_periodogram_ar0_equals_raw():
@@ -218,3 +228,45 @@ def test_complete_true_mean_matches_density_within_mc_error():
     mean = acc.mean(axis=0)
     se = acc.std(axis=0, ddof=1) / np.sqrt(B)
     assert np.all(np.abs(mean - f) <= 3 * se)
+
+
+@st.composite
+def _correction_case(draw):
+    """A causal AR(p) from reflection coefficients, a series of length
+    p..3p (so the two boundary blocks overlap when 2p > n), and a grid."""
+    ks = draw(st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=5))
+    a = np.zeros(0)
+    for k in ks:
+        a = np.concatenate((a - k * a[::-1], [k]))
+    p = a.size
+    n = draw(st.integers(p, 3 * p))
+    kind = draw(st.sampled_from(["fourier", "uniform", "explicit"]))
+    if kind == "fourier":
+        grid = FrequencyGrid.fourier(n)
+    elif kind == "uniform":
+        grid = FrequencyGrid.uniform(draw(st.integers(1, 40)))
+    else:
+        w = draw(st.lists(st.floats(0.0, 6.28), min_size=1, max_size=20, unique=True))
+        grid = FrequencyGrid.explicit(sorted(w))
+    x = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(n)
+    pad = draw(st.integers(0, 2 * n))
+    return ArModel(a, 1.0), TimeSeries(x), grid, pad
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_correction_case())
+def test_correction_paths_agree(case):
+    model, ts, grid, pad = case
+    vector = predictive_dft(ts, model, grid)
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(vector))))
+    matrix = ts.values @ predictive_dft_matrix(model, ts.n, grid)
+    padded = np.concatenate((model.coeffs, np.zeros(pad)))
+    truncated = predictive_dft_truncated_infinite(ts, padded, grid)
+    np.testing.assert_allclose(matrix, vector, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(truncated, vector, rtol=0.0, atol=tol)
+    radius = np.max(np.abs(np.roots(np.concatenate(([1.0], -model.coeffs)))))
+    if ts.n <= 8 and radius <= 0.9:
+        # slow-mixing models would need a longer horizon than the oracle's
+        cov = arma_expand(ArmaModel(model.coeffs, [], 1.0), M=ts.n + 400).autocov
+        brute = predictive_dft_bruteforce(ts, cov, grid, horizon=200)
+        np.testing.assert_allclose(vector, brute, rtol=0.0, atol=1e-8 * max(1.0, float(np.max(np.abs(brute)))))

@@ -74,21 +74,29 @@ def test_experiment_spec_validation():
 
 
 def test_experiment_thread_count_invariance():
-    """Bit-identical metric tables regardless of worker count."""
-    spec = ExperimentSpec(
-        model=builtin_models("m1", 0.9),
-        n=16,
-        replications=40,
-        estimators=(EstimatorSpec("regular"), EstimatorSpec("complete")),
-        seed=99,
-    )
-    t1 = run_experiment(spec, threads=1)
-    t4 = run_experiment(spec, threads=4)
-    for r1, r4 in zip(t1.rows, t4.rows):
-        assert r1.estimator == r4.estimator
-        assert r1.imse == r4.imse
-        assert r1.ibias == r4.ibias
-        assert r1.imse_se == r4.imse_se
+    """Bit-identical metric tables regardless of worker count, in the
+    periodogram, smoothed and ACF modes."""
+    for mode in ({}, {"smoothing": ("bartlett", 2)}, {"acf_lags": 5}):
+        spec = ExperimentSpec(
+            model=builtin_models("m1", 0.9),
+            n=16,
+            replications=40,
+            estimators=(EstimatorSpec("regular"), EstimatorSpec("complete")),
+            seed=99,
+            **mode,
+        )
+        t1 = run_experiment(spec, threads=1)
+        t4 = run_experiment(spec, threads=4)
+        assert t1.mode == t4.mode
+        for r1, r4 in zip(t1.rows, t4.rows):
+            assert r1.estimator == r4.estimator
+            assert r1.imse == r4.imse
+            assert r1.ibias == r4.ibias
+            assert r1.imse_se == r4.imse_se
+            assert r1.ibias_se == r4.ibias_se
+            if "acf_lags" in mode:
+                np.testing.assert_array_equal(r1.per_lag_mse, r4.per_lag_mse)
+                np.testing.assert_array_equal(r1.per_lag_bias, r4.per_lag_bias)
 
 
 def test_experiment_single_replication_degenerate():
