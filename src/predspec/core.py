@@ -10,9 +10,11 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .exceptions import DomainError
@@ -74,11 +76,20 @@ class TimeSeries:
         return TimeSeries(self.values - self.values.mean(), centered=True)
 
 
+def _lattice(M: int, kind: str) -> np.ndarray:
+    """2*pi*k/M ("fourier") or 2*pi*(k + 0.5)/M ("uniform") for k = 0..M-1."""
+    if M < 1:
+        raise DomainError(f"{kind} grid needs at least one frequency")
+    return TWO_PI * (np.arange(M) + (0.5 if kind == "uniform" else 0.0)) / M
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Strictly increasing frequencies in [0, 2*pi).
 
     kind is one of "fourier", "uniform" (midpoint rule cells) or "explicit".
+    A "fourier" or "uniform" grid must hold exactly the frequencies its
+    classmethod builds, because ``dft`` evaluates those kinds by FFT.
     """
 
     frequencies: np.ndarray
@@ -96,6 +107,8 @@ class FrequencyGrid:
             raise DomainError("frequencies must be strictly increasing")
         if self.kind not in ("fourier", "uniform", "explicit"):
             raise DomainError(f"unknown grid kind {self.kind!r}")
+        if self.kind != "explicit" and not np.array_equal(w, _lattice(w.size, self.kind)):
+            raise DomainError(f"{self.kind} grid frequencies must be exactly its lattice")
 
     @property
     def size(self) -> int:
@@ -104,16 +117,12 @@ class FrequencyGrid:
     @classmethod
     def fourier(cls, n: int) -> "FrequencyGrid":
         """The grid 2*pi*k/n for k = 1..n, with k = n stored as frequency 0."""
-        if n < 1:
-            raise DomainError("fourier grid needs n >= 1")
-        return cls(TWO_PI * np.arange(n) / n, kind="fourier")
+        return cls(_lattice(n, "fourier"), kind="fourier")
 
     @classmethod
     def uniform(cls, count: int) -> "FrequencyGrid":
         """Midpoints of `count` equal cells partitioning [0, 2*pi]."""
-        if count < 1:
-            raise DomainError("uniform grid needs count >= 1")
-        return cls(TWO_PI * (np.arange(count) + 0.5) / count, kind="uniform")
+        return cls(_lattice(count, "uniform"), kind="uniform")
 
     @classmethod
     def explicit(cls, frequencies) -> "FrequencyGrid":
@@ -301,32 +310,18 @@ def sample_autocov(ts: TimeSeries, max_lag: int) -> CovarianceSequence:
     return CovarianceSequence(c, estimator="biased-sample")
 
 
-_PHASE_CACHE: dict = {}
-
-
-def _phase_matrix(n: int, freqs: np.ndarray) -> np.ndarray:
-    """exp(1j * t * w) for t = 1..n (rows) and each frequency (columns).
-
-    Repeated transforms on a fixed grid (simulation loops) dominate runtime,
-    so a handful of recently used matrices are memoized by value.
-    """
-    key = (n, freqs.tobytes())
-    mat = _PHASE_CACHE.get(key)
-    if mat is None:
-        if len(_PHASE_CACHE) >= 8:
-            _PHASE_CACHE.clear()
-        t = np.arange(1, n + 1, dtype=float)
-        mat = np.exp(1j * np.outer(t, freqs))
-        mat.setflags(write=False)
-        _PHASE_CACHE[key] = mat
-    return mat
-
-
 def dft(ts: TimeSeries, grid: FrequencyGrid, taper: Taper | None = None) -> np.ndarray:
     """n**-0.5 * sum_t h[t] * x[t] * exp(1j*t*w) on the grid.
 
     With a taper the rescaled weights (summing to n) multiply the data; with
     none, h is identically 1.
+
+    Fourier and uniform grids are lattices w_k = w_0 + 2*pi*k/M (w_0 = 0 and
+    pi/M respectively), which ``FrequencyGrid`` enforces exactly.  There
+    exp(1j*t*w_k) = exp(1j*t*w_0) * exp(2j*pi*k*t/M) depends on t only
+    through t mod M, so the phased data are folded modulo M and summed by
+    one unnormalized inverse FFT of length M, for any M versus n.  Explicit
+    grids have no such structure and take the direct O(n * |grid|) sum.
     """
     n = ts.n
     x = ts.values
@@ -334,7 +329,12 @@ def dft(ts: TimeSeries, grid: FrequencyGrid, taper: Taper | None = None) -> np.n
         if taper.n != n:
             raise DomainError("taper length does not match the series")
         x = x * taper.weights
-    return (x @ _phase_matrix(n, grid.frequencies)) / np.sqrt(n)
+    if grid.kind == "explicit":
+        return (x @ np.exp(1j * np.outer(np.arange(1, n + 1), grid.frequencies))) / math.sqrt(n)
+    M, w0 = grid.size, grid.frequencies[0]
+    buf = np.zeros(-(-(n + 1) // M) * M, dtype=complex)  # slots t = 0..n, padded to rows of M
+    buf[1 : n + 1] = x * np.exp(1j * w0 * np.arange(1, n + 1)) if w0 else x
+    return scipy.fft.ifft(buf.reshape(-1, M).sum(axis=0), norm="forward") / math.sqrt(n)
 
 
 def raw_periodogram(

@@ -147,6 +147,8 @@ class ExperimentSpec:
             kind, m = self.smoothing
             spectral_window(kind, m)  # validates
             object.__setattr__(self, "smoothing", (kind, int(m)))
+            if 2 * self.smoothing[1] + 1 > self.n:
+                raise DomainError("window wider than the frequency grid")
             if self.acf_lags is not None:
                 raise DomainError("smoothing and ACF modes are mutually exclusive")
         if self.acf_lags is not None:

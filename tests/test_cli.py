@@ -185,7 +185,8 @@ def test_experiment_config_errors(tmp_path, capsys, monkeypatch):
     assert main(["experiment", str(bad)]) == 2
     base = "model = m1\nn = 16\nB = 10\nseed = 1\nestimators = regular, tapered-complete\n"
     for extra in ("lambda = abc", "order = foo", "taper_d = 2.5", "threshold = abc",
-                  "window = bartlett\nm = x", "acf_lags = many", "acf_lags = 3\nacf_points = 1e3"):
+                  "window = bartlett\nm = x", "window = daniell\nm = 8",
+                  "acf_lags = many", "acf_lags = 3\nacf_points = 1e3"):
         lam = "" if extra.startswith("lambda") else "lambda = 0.9\n"
         bad.write_text(base + lam + extra + "\n")
         assert main(["experiment", str(bad)]) == 2, extra

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predspec import (
     CovarianceSequence,
@@ -64,6 +66,31 @@ def test_explicit_grid_validation():
         FrequencyGrid.explicit([2 * np.pi])  # half-open interval
 
 
+def test_lattice_grid_validation():
+    """dft evaluates fourier and uniform grids by FFT, so those kinds accept
+    exactly the frequencies their classmethods build."""
+    for kind, count in (("fourier", 6), ("uniform", 6), ("fourier", 1), ("uniform", 1)):
+        g = getattr(FrequencyGrid, kind)(count)
+        assert FrequencyGrid(g.frequencies.copy(), kind=kind).kind == kind
+    with pytest.raises(DomainError):
+        FrequencyGrid(np.array([0.1, 0.2]), kind="fourier")
+    with pytest.raises(DomainError):
+        FrequencyGrid(np.array([0.1, 0.2]), kind="uniform")
+    with pytest.raises(DomainError):
+        FrequencyGrid(FrequencyGrid.uniform(6).frequencies, kind="fourier")
+    with pytest.raises(DomainError):
+        FrequencyGrid(FrequencyGrid.fourier(6).frequencies, kind="uniform")
+    with pytest.raises(DomainError):
+        FrequencyGrid(FrequencyGrid.fourier(6).frequencies[:5], kind="fourier")  # spacing of 6
+    with pytest.raises(DomainError):
+        FrequencyGrid(np.nextafter(FrequencyGrid.fourier(6).frequencies, 7.0), kind="fourier")
+    for bad in (0, -3):
+        with pytest.raises(DomainError):
+            FrequencyGrid.fourier(bad)
+        with pytest.raises(DomainError):
+            FrequencyGrid.uniform(bad)
+
+
 def test_sample_autocov_known_values():
     # direct evaluation of the biased (divisor n) definition
     c = sample_autocov(TimeSeries([1.0, -1.0, 1.0, -1.0]), 3)
@@ -125,6 +152,31 @@ def test_dft_hermitian_symmetry():
     g = FrequencyGrid.explicit([w, 2 * np.pi - w])
     vals = dft(ts, g)
     assert vals[1] == pytest.approx(np.conj(vals[0]), rel=1e-12)
+
+
+@st.composite
+def _lattice_case(draw):
+    """A series of length 1..400, a fourier or uniform grid of 1..600 points
+    (so M < n, M = n and M > n all occur) and an optional Tukey taper."""
+    n = draw(st.integers(1, 400))
+    kind = draw(st.sampled_from(["fourier", "uniform"]))
+    M = draw(st.one_of(st.just(n), st.integers(1, 600)))
+    taper = None
+    if n >= 2 and draw(st.booleans()):
+        taper = tukey_taper(n, draw(st.integers(1, n // 2)))
+    x = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(n)
+    return TimeSeries(x), getattr(FrequencyGrid, kind)(M), taper
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_lattice_case())
+def test_dft_fft_path_matches_direct_sum(case):
+    """The FFT path for lattice grids against the direct sum over the same
+    frequencies given as an explicit grid."""
+    ts, grid, taper = case
+    direct = dft(ts, FrequencyGrid.explicit(grid.frequencies), taper)
+    fast = dft(ts, grid, taper)
+    np.testing.assert_allclose(fast, direct, rtol=0.0, atol=1e-10 * float(np.max(np.abs(direct))))
 
 
 def test_tukey_taper_frozen_shape():

@@ -71,6 +71,12 @@ def test_experiment_spec_validation():
         # smoothing and ACF mode are mutually exclusive
         ExperimentSpec(model=m, n=20, replications=10, estimators=est, seed=1,
                        smoothing=("daniell", 2), acf_lags=10)
+    with pytest.raises(DomainError):
+        # 2m + 1 = 7 points of window on a 5-point Fourier grid
+        ExperimentSpec(model=m, n=5, replications=10, estimators=est, seed=1,
+                       smoothing=("daniell", 3))
+    ExperimentSpec(model=m, n=7, replications=10, estimators=est, seed=1,
+                   smoothing=("daniell", 3))  # exactly as wide as the grid
 
 
 def test_experiment_thread_count_invariance():
