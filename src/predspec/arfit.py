@@ -250,12 +250,11 @@ class ArmaExpansion:
     """Series expansions of an ARMA model truncated at M terms.
 
     ar_inf[j-1] holds the AR-representation coefficient a_j (j = 1..M),
-    ma_inf[j-1] the MA-representation weight b_j, autocov the exact model
-    autocovariances c(0..M), and density a vectorized handle for f(w).
+    autocov the exact model autocovariances c(0..M), and density a
+    vectorized handle for f(w).
     """
 
     ar_inf: np.ndarray
-    ma_inf: np.ndarray
     autocov: CovarianceSequence
     density: object
 
@@ -297,7 +296,7 @@ def _ma_weights(model: ArmaModel, tol: float = 1e-14) -> np.ndarray:
 
 
 def arma_expand(model: ArmaModel, M: int | None = None) -> ArmaExpansion:
-    """AR and MA series expansions plus autocovariances of an ARMA model.
+    """AR series expansion plus autocovariances of an ARMA model.
 
     M defaults to the smallest length whose trailing AR coefficients all fall
     below 1e-12 (so sparse coefficient patterns are kept intact), capped at
@@ -322,12 +321,10 @@ def arma_expand(model: ArmaModel, M: int | None = None) -> ArmaExpansion:
             raise DomainError("expansion length must be >= 1")
         ar_inf = -_series_quotient(phi, psi, M)
 
-    ma_inf = _series_quotient(psi, phi, M)
-
     chi = _ma_weights(model)
     pad = np.concatenate((chi, np.zeros(M)))
     autocov = model.sigma2 * np.array(
         [chi @ pad[r : r + chi.size] for r in range(M + 1)]
     )
     cov = CovarianceSequence(autocov, estimator="population")
-    return ArmaExpansion(ar_inf=ar_inf, ma_inf=ma_inf, autocov=cov, density=model.density)
+    return ArmaExpansion(ar_inf=ar_inf, autocov=cov, density=model.density)

@@ -14,12 +14,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .arfit import ArmaModel
 from .complete import AutoAIC, FixedOrder
-from .core import FrequencyGrid, TimeSeries
+from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries
 from .estimators import ESTIMATOR_KINDS, EstimatorSpec, evaluate_estimator
 from .exceptions import DomainError, NumericalError
 from .integrated import (
@@ -42,8 +43,8 @@ THREADS_ENV = "PREDSPEC_THREADS"
 # ---------------------------------------------------------------- I/O helpers
 
 def _fmt(x) -> str:
-    """Shortest decimal that round-trips the float."""
-    return repr(float(x))
+    """Shortest decimal that round-trips the float; strings pass through."""
+    return x if isinstance(x, str) else repr(float(x))
 
 
 def _read_series(path: str) -> TimeSeries:
@@ -72,7 +73,8 @@ def _write_columns(out: str | None, comment: str, columns: dict) -> None:
     names = list(columns)
     rows = len(next(iter(columns.values())))
     if out is not None and out.endswith(".json"):
-        payload = {"command": comment, "columns": {k: [float(v) for v in vals] for k, vals in columns.items()}}
+        cells = {k: [v if isinstance(v, str) else float(v) for v in vals] for k, vals in columns.items()}
+        payload = {"command": comment, "columns": cells}
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -137,24 +139,23 @@ def _parse_grid(value: str, n: int) -> FrequencyGrid:
     raise DomainError(f"grid must be 'fourier' or 'uniform:N', got {value!r}")
 
 
+def _order_source(token: str, what: str):
+    """The fitted-model source an `--order`/`order` token names: 'auto' or an integer."""
+    return AutoAIC() if token == "auto" else FixedOrder(_number(int, token, what))
+
+
 def _estimator_from_flags(args) -> EstimatorSpec:
-    kind = args.kind
-    source = None
-    if kind in ("complete", "tapered-complete"):
-        if args.order != "auto":
-            source = FixedOrder(_number(int, args.order, "--order"))
-        else:
-            source = AutoAIC()
-    taper_d = getattr(args, "taper_d", None)
-    return EstimatorSpec(kind=kind, source=source, taper_d=taper_d)
+    source = None if args.order is None else _order_source(args.order, "--order")
+    return EstimatorSpec(kind=args.kind, source=source, taper_d=args.taper_d)
 
 
-def _add_series_flags(p: argparse.ArgumentParser, kinds=ESTIMATOR_KINDS) -> None:
+def _add_series_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="CSV file with one numeric column")
-    p.add_argument("--kind", choices=[k for k in kinds if k != "complete-true"],
+    # complete-true needs the generating model, which a data file does not carry
+    p.add_argument("--kind", choices=[k for k in ESTIMATOR_KINDS if k != "complete-true"],
                    default="regular", help="periodogram variant")
-    p.add_argument("--order", default="auto",
-                   help="AR order for completed kinds: 'auto' (AIC) or an integer")
+    p.add_argument("--order", default=None,
+                   help="AR order for the fitted kinds: 'auto' (AIC, the default) or an integer")
     p.add_argument("--taper-d", dest="taper_d", type=int, default=None,
                    help="taper rise length (default: ceil(n/10))")
     p.add_argument("--threshold", default="none",
@@ -164,21 +165,34 @@ def _add_series_flags(p: argparse.ArgumentParser, kinds=ESTIMATOR_KINDS) -> None
     p.add_argument("--out", default=None, help="output path (.csv or .json; default stdout CSV)")
 
 
+def _add_quadrature_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", default="riemann", choices=["riemann", "fourier"])
+    p.add_argument("--riemann-points", dest="points", default=500, type=int,
+                   help="Riemann cells")
+
+
 def _load_input(args) -> TimeSeries:
     ts = _read_series(args.input)
     return ts.center() if args.center else ts
+
+
+def _estimate(args, ts: TimeSeries, grid: FrequencyGrid) -> PeriodogramEstimate:
+    """The flagged estimator on the grid, floored by `--threshold` if set."""
+    pg = evaluate_estimator(ts, _estimator_from_flags(args), grid)
+    delta = _parse_threshold(args.threshold)
+    return pg if delta is None else threshold_real(pg, delta)
+
+
+def _mean_config(args) -> SpectralMeanConfig:
+    mode = FourierSum() if args.mode == "fourier" else RiemannIntegral(args.points)
+    return SpectralMeanConfig(mode=mode, threshold=_parse_threshold(args.threshold))
 
 
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_periodogram(args, argv) -> int:
     ts = _load_input(args)
-    grid = _parse_grid(args.grid, ts.n)
-    est = _estimator_from_flags(args)
-    pg = evaluate_estimator(ts, est, grid)
-    delta = _parse_threshold(args.threshold)
-    if delta is not None:
-        pg = threshold_real(pg, delta)
+    pg = _estimate(args, ts, _parse_grid(args.grid, ts.n))
     _write_columns(
         args.out,
         _comment(argv),
@@ -193,12 +207,7 @@ def _cmd_periodogram(args, argv) -> int:
 
 def _cmd_smooth(args, argv) -> int:
     ts = _load_input(args)
-    grid = FrequencyGrid.fourier(ts.n)
-    est = _estimator_from_flags(args)
-    pg = evaluate_estimator(ts, est, grid)
-    delta = _parse_threshold(args.threshold)
-    if delta is not None:
-        pg = threshold_real(pg, delta)
+    pg = _estimate(args, ts, FrequencyGrid.fourier(ts.n))
     window = spectral_window(args.window, args.m)
     sm = smooth_periodogram(pg, window)
     _write_columns(
@@ -211,10 +220,7 @@ def _cmd_smooth(args, argv) -> int:
 
 def _cmd_acf(args, argv) -> int:
     ts = _load_input(args)
-    est = _estimator_from_flags(args)
-    mode = FourierSum() if args.mode == "fourier" else RiemannIntegral(args.points)
-    cfg = SpectralMeanConfig(mode=mode, threshold=_parse_threshold(args.threshold))
-    autocov, acf = acf_estimate(ts, args.lags, est, cfg)
+    autocov, acf = acf_estimate(ts, args.lags, _estimator_from_flags(args), _mean_config(args))
     _write_columns(
         args.out,
         _comment(argv),
@@ -233,10 +239,7 @@ def _cmd_whittle(args, argv) -> int:
         init = [_number(float, tok, "--init") for tok in args.init.split(",")]
     else:
         init = [0.0] * family.dim
-    est = _estimator_from_flags(args)
-    mode = FourierSum() if args.mode == "fourier" else RiemannIntegral(args.points)
-    cfg = SpectralMeanConfig(mode=mode, threshold=_parse_threshold(args.threshold))
-    result = whittle_fit(ts, family, est, init, cfg)
+    result = whittle_fit(ts, family, _estimator_from_flags(args), init, _mean_config(args))
     _write_columns(
         args.out,
         _comment(argv),
@@ -275,18 +278,8 @@ def _cmd_experiment(args, argv) -> int:
         ("mse_se" if acf_mode else "imse_se"): [row.imse_se for row in table.rows],
         ("bias_se" if acf_mode else "ibias_se"): [row.ibias_se for row in table.rows],
     }
-    names = list(cols)
-    lines = [f"# {_comment(argv)} (mode={table.mode}, runtime={table.runtime_seconds:.2f}s)"]
-    lines.append(",".join(names))
-    for i in range(len(table.rows)):
-        cells = [cols[names[0]][i]] + [_fmt(cols[k][i]) for k in names[1:]]
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    comment = f"{_comment(argv)} (mode={table.mode}, runtime={table.runtime_seconds:.2f}s)"
+    _write_columns(args.out, comment, cols)
     return 0
 
 
@@ -333,8 +326,7 @@ def parse_experiment_config(text: str) -> ExperimentSpec:
     except ValueError:
         raise DomainError("config must set integer 'n', 'B', and 'seed'")
 
-    order_token = pop("order", "auto")
-    source = AutoAIC() if order_token == "auto" else FixedOrder(_number(int, order_token, "order"))
+    source = _order_source(pop("order", "auto"), "order")
     taper_token = pop("taper_d", None)
     taper_d = _number(int, taper_token, "taper_d") if taper_token is not None else None
 
@@ -343,14 +335,12 @@ def parse_experiment_config(text: str) -> ExperimentSpec:
         raise DomainError("config must list at least one estimator")
     estimators = []
     for tok in est_tokens:
-        if tok not in ESTIMATOR_KINDS:
-            raise DomainError(f"unknown estimator {tok!r}")
+        est = EstimatorSpec(tok)
+        # the shared keys go to the kinds that use them; complete-true's
+        # model is the generating one, which the runner supplies
+        fitted = est.completed and tok != "complete-true"
         estimators.append(
-            EstimatorSpec(
-                kind=tok,
-                source=source if tok in ("complete", "tapered-complete") else None,
-                taper_d=taper_d if tok in ("tapered", "tapered-complete") else None,
-            )
+            replace(est, source=source if fitted else None, taper_d=taper_d if est.tapered else None)
         )
 
     kwargs: dict = {}
@@ -435,17 +425,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("acf", help="autocovariance/ACF from a periodogram estimate")
     _add_series_flags(p)
     p.add_argument("--lags", required=True, type=int)
-    p.add_argument("--mode", default="riemann", choices=["riemann", "fourier"])
-    p.add_argument("--riemann-points", dest="points", default=500, type=int,
-                   help="Riemann cells")
+    _add_quadrature_flags(p)
     p.set_defaults(func=_cmd_acf)
 
     p = sub.add_parser("whittle", help="fit a parametric spectral family")
     _add_series_flags(p)
     p.add_argument("--family", required=True, help="'ar:P'")
     p.add_argument("--init", default=None, help="comma-separated start point")
-    p.add_argument("--mode", default="riemann", choices=["riemann", "fourier"])
-    p.add_argument("--riemann-points", dest="points", default=500, type=int)
+    _add_quadrature_flags(p)
     p.set_defaults(func=_cmd_whittle)
 
     p = sub.add_parser("simulate", help="simulate a builtin model")

@@ -13,7 +13,7 @@ spectral density, removing the O(1/n) boundary bias of |DFT|^2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -212,10 +212,5 @@ def threshold_real(pg: PeriodogramEstimate, delta: float) -> PeriodogramEstimate
     if not (np.isfinite(delta) and delta > 0.0):
         raise DomainError("threshold must be positive and finite")
     vals = np.maximum(pg.values.real, delta).astype(complex)
-    meta = PgMeta(
-        order=pg.meta.order,
-        taper=pg.meta.taper,
-        threshold=delta,
-        window=pg.meta.window,
-    )
+    meta = replace(pg.meta, threshold=delta)
     return PeriodogramEstimate(pg.grid, vals, kind="thresholded-real", meta=meta)

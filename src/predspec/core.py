@@ -177,7 +177,7 @@ class Taper:
     """Data-taper weights rescaled so they sum to n.
 
     ``h1`` and ``h2`` are the first and second moments sum h(t/n)**q of the
-    un-rescaled shape; the shape itself is recoverable as ``raw_shape``.
+    un-rescaled shape.
     """
 
     weights: np.ndarray
@@ -200,11 +200,6 @@ class Taper:
     @property
     def n(self) -> int:
         return self.weights.size
-
-    @property
-    def raw_shape(self) -> np.ndarray:
-        """The un-rescaled shape values h(t/n), t = 1..n."""
-        return self.weights * (self.h1 / self.n)
 
 
 def flat_taper(n: int) -> Taper:
@@ -287,10 +282,6 @@ class PeriodogramEstimate:
                 raise DomainError("thresholded-real estimate must record its threshold")
             if np.any(v.imag != 0.0) or np.any(v.real < delta * (1.0 - 1e-12)):
                 raise DomainError("thresholded-real values must be real and >= threshold")
-
-    @property
-    def real_values(self) -> np.ndarray:
-        return self.values.real
 
 
 def sample_autocov(ts: TimeSeries, max_lag: int) -> CovarianceSequence:

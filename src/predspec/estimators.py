@@ -2,27 +2,30 @@
 
 Experiment runners, integrated statistics, and the CLI all need to say
 "the tapered completed periodogram with AIC-selected order" as data; this
-module holds that description and evaluates it on a series.
+module holds that description and evaluates it on a series.  It is the one
+place that knows which kinds taper and where each kind's AR model comes from.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .arfit import ArModel
 from .complete import AutoAIC, Explicit, ModelSource, complete_periodogram
 from .core import FrequencyGrid, PeriodogramEstimate, Taper, TimeSeries, raw_periodogram, tukey_taper
 from .exceptions import DomainError
 
 __all__ = ["ESTIMATOR_KINDS", "EstimatorSpec", "evaluate_estimator", "default_rise"]
 
-ESTIMATOR_KINDS = (
-    "regular",
-    "tapered",
-    "complete-true",
-    "complete",
-    "tapered-complete",
-)
+# kind -> (tapers the conjugated DFT, where the AR model comes from: None for
+# the raw periodograms, "known" for an Explicit model, "fitted" per series)
+_KINDS = {
+    "regular": (False, None),
+    "tapered": (True, None),
+    "complete-true": (False, "known"),
+    "complete": (False, "fitted"),
+    "tapered-complete": (True, "fitted"),
+}
+ESTIMATOR_KINDS = tuple(_KINDS)
 
 
 def default_rise(n: int) -> int:
@@ -34,10 +37,12 @@ def default_rise(n: int) -> int:
 class EstimatorSpec:
     """Which periodogram to compute.
 
-    kind "complete-true" plugs in a known model supplied at evaluation time;
-    "complete" and "tapered-complete" estimate one per series (`source`,
-    defaulting to AIC order selection).  `taper_d` is the cosine-bell rise
-    length for the tapered kinds, defaulting to ceil(n/10).
+    kind "complete-true" plugs in a known model, given as
+    `source=Explicit(model)` (the experiment runner supplies the generating
+    model); "complete" and "tapered-complete" estimate one per series
+    (`source`, defaulting to AIC order selection).  `taper_d` is the
+    cosine-bell rise length for the tapered kinds, defaulting to ceil(n/10).
+    A `taper_d` or `source` that the kind cannot use is rejected.
     """
 
     kind: str
@@ -45,31 +50,42 @@ class EstimatorSpec:
     taper_d: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ESTIMATOR_KINDS:
+        if self.kind not in _KINDS:
             raise DomainError(f"unknown estimator kind {self.kind!r}")
+        if self.taper_d is not None and not self.tapered:
+            raise DomainError(f"the {self.kind} estimator takes no taper rise length")
+        model = _KINDS[self.kind][1]
+        if self.source is not None:
+            if model is None:
+                raise DomainError(f"the {self.kind} estimator takes no AR model source")
+            if model == "known" and not isinstance(self.source, Explicit):
+                raise DomainError(f"the {self.kind} estimator needs its model as source=Explicit(model)")
+
+    @property
+    def tapered(self) -> bool:
+        """Whether the conjugated DFT is tapered."""
+        return _KINDS[self.kind][0]
+
+    @property
+    def completed(self) -> bool:
+        """Whether the DFT is completed by an AR predictive correction."""
+        return _KINDS[self.kind][1] is not None
+
+    @property
+    def label(self) -> str:
+        """Row name in experiment tables: the kind, plus an explicit rise length."""
+        return self.kind if self.taper_d is None else f"{self.kind}(d={self.taper_d})"
 
     def taper_for(self, n: int) -> Taper:
         return tukey_taper(n, self.taper_d if self.taper_d is not None else default_rise(n))
 
 
-def evaluate_estimator(
-    ts: TimeSeries,
-    spec: EstimatorSpec,
-    grid: FrequencyGrid,
-    true_model: ArModel | None = None,
-) -> PeriodogramEstimate:
+def evaluate_estimator(ts: TimeSeries, spec: EstimatorSpec, grid: FrequencyGrid) -> PeriodogramEstimate:
     """Evaluate the described estimator on a series over a grid."""
-    kind = spec.kind
-    if kind == "regular":
-        return raw_periodogram(ts, grid)
-    if kind == "tapered":
-        return raw_periodogram(ts, grid, spec.taper_for(ts.n))
-    if kind == "complete-true":
-        if true_model is None:
-            raise DomainError("complete-true estimator needs the generating AR model")
-        return complete_periodogram(ts, Explicit(true_model), grid)
+    taper = spec.taper_for(ts.n) if spec.tapered else None
+    if not spec.completed:
+        return raw_periodogram(ts, grid, taper)
+    if spec.source is None and spec.kind == "complete-true":
+        raise DomainError("complete-true estimator needs the generating AR model as source=Explicit(model)")
     source = spec.source if spec.source is not None else AutoAIC()
-    if kind == "complete":
-        return complete_periodogram(ts, source, grid)
-    # tapered-complete
-    return complete_periodogram(ts, source, grid, taper=spec.taper_for(ts.n))
+    return complete_periodogram(ts, source, grid, taper=taper)

@@ -161,7 +161,6 @@ def acf_estimate(
     lags: int,
     estimator: EstimatorSpec,
     cfg: SpectralMeanConfig,
-    true_model=None,
 ):
     """Autocovariances and autocorrelations recovered from a periodogram.
 
@@ -177,7 +176,7 @@ def acf_estimate(
     if lags >= ts.n:
         raise DomainError("lag range must stay below the series length")
     grid = cfg.grid_for(ts.n)
-    pg = evaluate_estimator(ts, estimator, grid, true_model=true_model)
+    pg = evaluate_estimator(ts, estimator, grid)
     autocov = _cosine_moments(_prepared_values(pg, cfg).real, grid.frequencies, lags)
     if autocov[0] <= 0.0:
         raise NumericalError(
@@ -251,7 +250,6 @@ def whittle_fit(
     estimator: EstimatorSpec,
     init: Sequence[float],
     cfg: SpectralMeanConfig | None = None,
-    true_model=None,
 ) -> WhittleResult:
     """Minimize the spectral-divergence objective over the family box.
 
@@ -271,7 +269,7 @@ def whittle_fit(
             raise DomainError("init must lie inside the family's box constraints")
 
     grid = cfg.grid_for(ts.n)
-    pg = evaluate_estimator(ts, estimator, grid, true_model=true_model)
+    pg = evaluate_estimator(ts, estimator, grid)
     vals = _prepared_values(pg, cfg).real
     w = grid.frequencies
     trace: list = []

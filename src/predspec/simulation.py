@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.signal
 
 from .arfit import ArmaModel, arma_expand
-from .complete import threshold_real
+from .complete import Explicit, threshold_real
 from .core import FrequencyGrid, TimeSeries
 from .estimators import EstimatorSpec, evaluate_estimator
 from .exceptions import DomainError
@@ -102,9 +102,6 @@ def builtin_models(which: str, lam: float | None = None) -> ArmaModel:
     raise DomainError(f"unknown builtin model {which!r}")
 
 
-_COMPLETE_KINDS = ("complete-true", "complete", "tapered-complete")
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A full description of one Monte Carlo experiment.
@@ -185,14 +182,12 @@ class MetricTable:
     runtime_seconds: float
 
 
-def _estimator_label(est: EstimatorSpec) -> str:
-    if est.kind in ("tapered", "tapered-complete") and est.taper_d is not None:
-        return f"{est.kind}(d={est.taper_d})"
-    return est.kind
-
-
 class _Prep:
-    """Shared per-experiment state for evaluating replications."""
+    """Shared per-experiment state for evaluating replications.
+
+    `estimators` are the spec's, with the generating model substituted as
+    the source of every "complete-true" estimator.
+    """
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -209,17 +204,21 @@ class _Prep:
             self.grid = FrequencyGrid.fourier(n)
             self.true_target = spec.model.density(self.grid.frequencies)
             self.dim = n
-        self.true_ar = None
+        self.estimators = spec.estimators
         if any(est.kind == "complete-true" for est in spec.estimators):
             if spec.model.q != 0:
                 raise DomainError(
                     "complete-true estimator is undefined for models with a moving-average part"
                 )
-            self.true_ar = spec.model.pure_ar()
+            truth = Explicit(spec.model.pure_ar())
+            self.estimators = tuple(
+                replace(est, source=truth) if est.kind == "complete-true" else est
+                for est in spec.estimators
+            )
 
     def evaluate(self, ts: TimeSeries, est: EstimatorSpec) -> np.ndarray:
-        pg = evaluate_estimator(ts, est, self.grid, true_model=self.true_ar)
-        if est.kind in _COMPLETE_KINDS:
+        pg = evaluate_estimator(ts, est, self.grid)
+        if est.completed:
             pg = threshold_real(pg, self.spec.threshold)
         return pg.values.real
 
@@ -236,12 +235,12 @@ class _Prep:
 _SERIAL_BLOCK = 256  # replications per serial block
 
 
-def _run_block(spec: ExperimentSpec, b0: int, b1: int):
-    prep = _Prep(spec)
-    blocks = [np.empty((b1 - b0, prep.grid.size)) for _ in spec.estimators]
+def _run_block(prep: _Prep, b0: int, b1: int):
+    spec = prep.spec
+    blocks = [np.empty((b1 - b0, prep.grid.size)) for _ in prep.estimators]
     for i, b in enumerate(range(b0, b1)):
         ts = TimeSeries(_simulate_values(spec.model, spec.n, split_seed(spec.seed, b)))
-        for out, est in zip(blocks, spec.estimators):
+        for out, est in zip(blocks, prep.estimators):
             out[i] = prep.evaluate(ts, est)
     return b0, [prep.reduce(block) for block in blocks]
 
@@ -274,7 +273,7 @@ def _summarize(spec: ExperimentSpec, prep: _Prep, slots) -> tuple:
             mse_se = bias_se = float("nan")
         rows.append(
             MetricRow(
-                estimator=_estimator_label(est),
+                estimator=est.label,
                 imse=mse,
                 ibias=bias,
                 imse_se=mse_se,
@@ -308,14 +307,14 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> MetricTable:
     if threads == 1 or B < 2 * threads:
         # bounded blocks keep the unreduced rows small however large B is
         for b0 in range(0, B, _SERIAL_BLOCK):
-            fill(*_run_block(spec, b0, min(b0 + _SERIAL_BLOCK, B)))
+            fill(*_run_block(prep, b0, min(b0 + _SERIAL_BLOCK, B)))
     else:
         bounds = np.linspace(0, B, 4 * threads + 1, dtype=int)
         spans = [
             (int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a
         ]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_block, spec, a, b) for a, b in spans]
+            futures = [pool.submit(_run_block, prep, a, b) for a, b in spans]
             for fut in futures:
                 fill(*fut.result())
     rows = _summarize(spec, prep, slots)

@@ -80,6 +80,10 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["simulate", "--model", "m1:abc", "--n", "5", "--seed", "1"],
         ["whittle", str(good), "--family", "ar:two"],
         ["whittle", str(good), "--family", "ar:2", "--init", "0.1,x"],
+        # flags the chosen kind cannot use are bad input, not silently ignored
+        ["periodogram", str(good), "--kind", "regular", "--order", "3", "--taper-d", "99"],
+        ["periodogram", str(good), "--kind", "complete", "--taper-d", "3"],
+        ["smooth", str(good), "--kind", "tapered", "--order", "2", "--window", "daniell", "--m", "2"],
     ):
         assert main(argv) == 2, argv
         assert "error" in capsys.readouterr().err
@@ -171,6 +175,14 @@ def test_experiment_command(tmp_path):
     assert rows[1] == "estimator,imse,ibias,imse_se,ibias_se"
     assert rows[2].startswith("regular,")
     assert rows[3].startswith("complete,")
+    out = tmp_path / "table.json"
+    assert main(["experiment", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["command"].startswith("predspec experiment")
+    cols = payload["columns"]
+    assert list(cols) == ["estimator", "imse", "ibias", "imse_se", "ibias_se"]
+    assert cols["estimator"] == ["regular", "complete"]
+    assert all(isinstance(v, float) for k in list(cols)[1:] for v in cols[k])
 
 
 def test_experiment_config_errors(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +213,10 @@ def test_threshold_real():
     )
     with pytest.raises(DomainError):
         threshold_real(pg, 0.0)
+    # every provenance field survives thresholding, not only the known ones
+    pg = complete_periodogram(ts, FixedOrder(2), g, taper=tukey_taper(20, 2))
+    thr = threshold_real(pg, 1e-3)
+    assert thr.meta == replace(pg.meta, threshold=1e-3)
 
 
 def test_complete_true_mean_matches_density_within_mc_error():

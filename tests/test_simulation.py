@@ -87,7 +87,11 @@ def test_experiment_thread_count_invariance():
             model=builtin_models("m1", 0.9),
             n=16,
             replications=40,
-            estimators=(EstimatorSpec("regular"), EstimatorSpec("complete")),
+            estimators=(
+                EstimatorSpec("regular"),
+                EstimatorSpec("complete-true"),
+                EstimatorSpec("complete"),
+            ),
             seed=99,
             **mode,
         )
