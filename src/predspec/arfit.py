@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CovarianceSequence, FrequencyGrid, TimeSeries, sample_autocov
+from .core import CovarianceSequence, FrequencyGrid, TimeSeries, _autocov_rows
 from .exceptions import DomainError, NumericalError
 
 __all__ = [
@@ -37,9 +37,14 @@ def _recursion_roots(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _transfer_polynomial(coeffs: np.ndarray, freqs) -> np.ndarray:
-    """1 - sum_j coeffs[j-1] * exp(-1j*j*w) at each frequency (1 when empty)."""
-    j = np.arange(1, np.size(coeffs) + 1)
-    return 1.0 - np.exp(-1j * np.multiply.outer(np.asarray(freqs, dtype=float), j)) @ coeffs
+    """1 - sum_j coeffs[..., j-1] * exp(-1j*j*w) at each frequency (1 when empty).
+
+    Leading axes of `coeffs` are batch axes: a (rows, p) block gives one
+    polynomial per row, shaped (rows, *freqs.shape).
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    j = np.arange(1, coeffs.shape[-1] + 1)
+    return 1.0 - np.inner(coeffs, np.exp(-1j * np.multiply.outer(np.asarray(freqs, dtype=float), j)))
 
 
 @dataclass(frozen=True)
@@ -131,31 +136,33 @@ class ArmaModel:
         return ArModel(self.ar, self.sigma2)
 
 
-def _levinson_all(c: np.ndarray, pmax: int):
-    """Levinson recursion up to order pmax.
+def _levinson_rows(c: np.ndarray, pmax: int):
+    """Levinson recursion up to order pmax on each row of c (rows, >= pmax+1).
 
-    Returns (coeffs_by_order, sigma2_by_order) where coeffs_by_order[p] is the
-    length-p coefficient vector and sigma2_by_order[p] the matching innovation
-    variance, for p = 0..pmax.
+    Returns (coeffs, sigma2): coeffs[:, p, :p] holds the order-p coefficient
+    vectors, zero-padded to a (rows, pmax+1, pmax) table, and sigma2 the
+    (rows, pmax+1) innovation variances.  Rows are checked after the loop,
+    which raises NumericalError at the first order where any row has a
+    reflection coefficient outside (-1, 1) or a variance that underflows.
     """
-    if c[0] <= 0.0:
+    if (c[:, 0] <= 0.0).any():
         raise NumericalError("covariance not positive definite (c(0) <= 0)")
-    coeffs = [np.zeros(0)]
-    sigma2 = np.empty(pmax + 1)
-    sigma2[0] = c[0]
-    a = np.zeros(0)
-    for m in range(1, pmax + 1):
-        acc = a @ c[m - 1 : 0 : -1] if m > 1 else 0.0
-        k = (c[m] - acc) / sigma2[m - 1]
-        if not np.isfinite(k) or abs(k) >= 1.0:
-            raise NumericalError(
-                f"covariance not positive definite (reflection coefficient at order {m})"
-            )
-        a = np.concatenate((a - k * a[::-1], [k]))
-        sigma2[m] = sigma2[m - 1] * (1.0 - k * k)
-        if sigma2[m] <= 0.0:
-            raise NumericalError(f"innovation variance collapsed at order {m}")
-        coeffs.append(a)
+    rows = c.shape[0]
+    coeffs = np.zeros((rows, pmax + 1, pmax))
+    sigma2 = np.empty((rows, pmax + 1))
+    sigma2[:, 0] = c[:, 0]
+    with np.errstate(all="ignore"):  # a failed row is reported below
+        for m in range(1, pmax + 1):
+            a = coeffs[:, m - 1, : m - 1]
+            k = (c[:, m] - np.einsum("ij,ij->i", a, c[:, m - 1 : 0 : -1])) / sigma2[:, m - 1]
+            coeffs[:, m, : m - 1] = a - k[:, None] * a[:, ::-1]
+            coeffs[:, m, m - 1] = k
+            sigma2[:, m] = sigma2[:, m - 1] * (1.0 - k * k)
+    # |k| >= 1 or a non-finite k first shows as a variance that is not positive
+    bad = ~(sigma2[:, 1:] > 0.0)
+    if bad.any():
+        m = int(bad.any(axis=0).argmax()) + 1
+        raise NumericalError(f"covariance not positive definite (Levinson recursion fails at order {m})")
     return coeffs, sigma2
 
 
@@ -166,20 +173,25 @@ def levinson_durbin(cov: CovarianceSequence, p: int) -> ArModel:
         raise DomainError("order must be nonnegative")
     if cov.max_lag < p:
         raise DomainError(f"need lags 0..{p}, covariance holds 0..{cov.max_lag}")
-    if cov.lags[0] <= 0.0:
-        raise NumericalError("covariance not positive definite (c(0) <= 0)")
-    coeffs, sigma2 = _levinson_all(cov.lags, p)
-    return ArModel(coeffs[p], float(sigma2[p]))
+    coeffs, sigma2 = _levinson_rows(cov.lags[None], p)
+    return ArModel(coeffs[0, p, :p], float(sigma2[0, p]))
+
+
+def _yule_walker_rows(x: np.ndarray, p: int):
+    """Levinson fits of orders 0..p to the sample autocovariances of each
+    row of x (rows, n), assumed mean zero; see `_levinson_rows`."""
+    if p < 0 or p >= x.shape[-1]:
+        raise DomainError("order must satisfy 0 <= p < n")
+    c = _autocov_rows(x, p)
+    if (c[:, 0] <= 0.0).any():
+        raise NumericalError("series is constant: zero sample variance")
+    return _levinson_rows(c, p)
 
 
 def yule_walker_fit(ts: TimeSeries, p: int) -> ArModel:
     """Fit AR(p) by the sample autocovariances of `ts` (assumed mean zero)."""
-    if p < 0 or p >= ts.n:
-        raise DomainError("order must satisfy 0 <= p < n")
-    cov = sample_autocov(ts, p)
-    if cov.lags[0] <= 0.0:
-        raise NumericalError("series is constant: zero sample variance")
-    return levinson_durbin(cov, p)
+    coeffs, sigma2 = _yule_walker_rows(ts.values[None], p)
+    return ArModel(coeffs[0, p, :p], float(sigma2[0, p]))
 
 
 @dataclass(frozen=True)
@@ -201,14 +213,14 @@ class OrderSelection:
             raise DomainError("need one criterion value per candidate order")
 
 
-def aic_select(ts: TimeSeries, max_order: int | None = None) -> OrderSelection:
-    """Pick the AR order in 1..k_n minimizing log(residual variance) + 2p/n.
+def _aic_rows(x: np.ndarray, max_order: int | None = None):
+    """AIC order selection on each row of x (rows, n); see `aic_select`.
 
-    k_n defaults to floor(n**0.4), clamped to [1, n-2].  The residual variance
-    for every candidate p uses the common window t = k_n+1..n so criteria are
-    comparable; ties resolve to the smaller order.
+    Returns (orders, coeffs, sigma2, aic): the chosen order of each row, its
+    coefficients zero-padded to a (rows, k_n) block, its innovation variance,
+    and the (rows, k_n) criterion values.
     """
-    n = ts.n
+    rows, n = x.shape
     if n < 4:
         raise DomainError("order selection needs n >= 4")
     if max_order is None:
@@ -217,26 +229,34 @@ def aic_select(ts: TimeSeries, max_order: int | None = None) -> OrderSelection:
         k_n = max_order
         if k_n < 1 or k_n >= n - 1:
             raise DomainError("max_order must satisfy 1 <= max_order <= n-2")
-    cov = sample_autocov(ts, k_n)
-    if cov.lags[0] <= 0.0:
-        raise NumericalError("series is constant: zero sample variance")
-    coeffs, sigma2_lev = _levinson_all(cov.lags, k_n)
+    coeffs, sigma2 = _yule_walker_rows(x, k_n)
 
-    x = ts.values
-    # column j-1 holds x[t-j] for the residual window rows t = k_n+1..n (1-based)
-    lagmat = np.column_stack([x[k_n - j : n - j] for j in range(1, k_n + 1)])
-    target = x[k_n:]
-    m = target.size
-    aic = np.empty(k_n)
-    for p in range(1, k_n + 1):
-        resid = target - lagmat[:, :p] @ coeffs[p]
-        s2 = float(resid @ resid) / m
-        if s2 <= 0.0:
-            raise NumericalError(f"zero residual variance at order {p}: the criterion would be -inf")
-        aic[p - 1] = np.log(s2) + 2.0 * p / n
-    chosen = int(np.argmin(aic)) + 1
-    model = ArModel(coeffs[chosen], float(sigma2_lev[chosen]))
-    return OrderSelection(chosen_p=chosen, k_n=k_n, aic_values=aic, model=model)
+    # lags[:, j-1, i] holds x[t-j] for the residual window t = k_n+1..n (1-based);
+    # row p-1 of the product is the order-p prediction, minus x[t] the negated residual
+    lags = np.array([x[:, k_n - j : n - j] for j in range(1, k_n + 1)]).transpose(1, 0, 2)
+    resid = coeffs[:, 1:, :] @ lags
+    resid -= x[:, None, k_n:]
+    s2 = np.einsum("ipt,ipt->ip", resid, resid) / (n - k_n)
+    if (s2 <= 0.0).any():
+        p = int((s2 <= 0.0).any(axis=0).argmax()) + 1
+        raise NumericalError(f"zero residual variance at order {p}: the criterion would be -inf")
+    aic = np.log(s2) + 2.0 * np.arange(1, k_n + 1) / n
+    orders = aic.argmin(axis=1) + 1
+    pick = np.arange(rows)
+    return orders, coeffs[pick, orders], sigma2[pick, orders], aic
+
+
+def aic_select(ts: TimeSeries, max_order: int | None = None) -> OrderSelection:
+    """Pick the AR order in 1..k_n minimizing log(residual variance) + 2p/n.
+
+    k_n defaults to floor(n**0.4), clamped to [1, n-2].  The residual variance
+    for every candidate p uses the common window t = k_n+1..n so criteria are
+    comparable; ties resolve to the smaller order.
+    """
+    orders, coeffs, sigma2, aic = _aic_rows(ts.values[None], max_order)
+    p = int(orders[0])
+    model = ArModel(coeffs[0, :p], float(sigma2[0]))
+    return OrderSelection(chosen_p=p, k_n=aic.shape[1], aic_values=aic[0], model=model)
 
 
 def ar_spectral(model: ArModel, grid: FrequencyGrid):

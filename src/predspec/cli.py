@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -36,8 +35,6 @@ from .integrated import (
 from .complete import threshold_real
 from .simulation import ExperimentSpec, builtin_models, run_experiment, simulate_arma
 from . import verify as verify_mod
-
-THREADS_ENV = "PREDSPEC_THREADS"
 
 
 # ---------------------------------------------------------------- I/O helpers
@@ -266,10 +263,7 @@ def _cmd_simulate(args, argv) -> int:
 def _cmd_experiment(args, argv) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         spec = parse_experiment_config(fh.read())
-    threads = args.threads
-    if threads is None:
-        threads = _number(int, os.environ.get(THREADS_ENV, "1"), THREADS_ENV)
-    table = run_experiment(spec, threads=threads)
+    table = run_experiment(spec)
     acf_mode = table.mode == "acf"
     cols = {
         "estimator": [row.estimator for row in table.rows],
@@ -444,8 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a Monte Carlo experiment config")
     p.add_argument("config", help="key = value config file")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker processes (default: ${THREADS_ENV} or 1)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_experiment)
 

@@ -17,16 +17,16 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
-from .arfit import ArModel, _transfer_polynomial, aic_select, yule_walker_fit
+from .arfit import ArModel, _aic_rows, _transfer_polynomial, _yule_walker_rows
 from .core import (
     FrequencyGrid,
     PeriodogramEstimate,
     PgMeta,
     Taper,
     TimeSeries,
-    dft,
+    _dft_rows,
+    _phase_sums,
 )
 from .exceptions import DomainError, NumericalError
 
@@ -84,31 +84,38 @@ class FixedOrder:
 ModelSource = Union[Explicit, TruncatedInfinite, AutoAIC, FixedOrder]
 
 
-def _boundary_weights(a: np.ndarray, n: int, freqs: np.ndarray):
-    """Backcast and forecast weight blocks of the closed-form correction.
+def _correction_rows(x: np.ndarray, a: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """Predictive DFT of each row of x (rows, n) under AR coefficients a.
 
-    For coefficients a[1..m], taken as zero beyond m, row l of the first
-    block weighs x[1 + l] and row l of the second weighs x[n - l]; each has
-    min(n, m) rows, so the correction reads only the first and last min(n, m)
-    observations.  The weights divide by a(w), so a transfer polynomial with
-    |a(w)| < 1e-8 anywhere on the grid raises NumericalError.
+    `a` is a (rows, m) block, or (1, m) for one model shared by every row;
+    coefficients are taken as zero beyond m.  With the Hankel block
+    C[l, s] = a[l + s + 1], the backcasts weigh the first r = min(n, m)
+    observations and the forecasts the last r:
+
+        backcast sum = sum_s u[s] * exp(-1j*s*w) / a(w),        u = x[:r] @ C
+        forecast sum = exp(1j*n*w) * sum_s v[s] * exp(1j*(s+1)*w) / conj(a(w)),
+                       v = x[::-1][:r] @ C
+
+    and the correction is their total over sqrt(n).  Each end is contracted
+    to a length-m vector before one phase sum over the grid.  The sums
+    divide by a(w), so |a(w)| < 1e-8 anywhere on the grid raises
+    NumericalError.
     """
-    aw = _transfer_polynomial(a, freqs)
+    rows, n = x.shape
+    m = a.shape[-1]
+    w = grid.frequencies
+    aw = _transfer_polynomial(a, w)
     if np.min(np.abs(aw)) < 1e-8:
         raise NumericalError("AR transfer function vanishes on the grid (|a(w)| < 1e-8)")
-    m = a.size
-    C = scipy.linalg.hankel(a, np.zeros(m))[: min(n, m)]  # C[l, s] = a[l + s + 1]
-    s = np.arange(m)
-    root_n = np.sqrt(n)
-    back = (C @ np.exp(-1j * np.outer(s, freqs))) / (root_n * aw)
-    fwd = (C @ np.exp(1j * np.outer(s + 1, freqs))) * np.exp(1j * n * freqs) / (root_n * np.conj(aw))
-    return back, fwd
-
-
-def _extension_transform(x: np.ndarray, a: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    back, fwd = _boundary_weights(a, x.size, grid.frequencies)
-    r = back.shape[0]
-    return x[:r] @ back + x[::-1][:r] @ fwd
+    r = min(n, m)
+    a_pad = np.concatenate((a, np.zeros((a.shape[0], r))), axis=1)
+    ends = np.array((x[:, :r], x[:, ::-1][:, :r]))  # (2, rows, r): x[1 + l] and x[n - l]
+    uv = np.zeros((2, rows, m))
+    for l in range(r):
+        uv += ends[:, :, l, None] * a_pad[:, l : l + m]
+    back, fwd = _phase_sums(uv.reshape(2 * rows, m), grid).reshape(2, rows, -1)  # sum_s (.)[s] e^{i(s+1)w}
+    back = np.exp(1j * w) * np.conj(back) / aw
+    return (back + np.exp(1j * n * w) * fwd / np.conj(aw)) / np.sqrt(n)
 
 
 def _check_order(p: int, n: int) -> None:
@@ -123,15 +130,11 @@ def predictive_dft_matrix(model: ArModel, n: int, grid: FrequencyGrid) -> np.nda
 
     Exposing the linear form lets exact-expectation checks treat the
     correction as a vector of weights on the observations; only the first
-    and last p rows are nonzero.
+    and last p rows are nonzero.  Row i is the correction of the i-th unit
+    vector.
     """
     _check_order(model.p, n)
-    back, fwd = _boundary_weights(model.coeffs, n, grid.frequencies)
-    r = back.shape[0]
-    D = np.zeros((n, grid.size), dtype=complex)
-    D[:r] += back
-    D[n - r :] += fwd[::-1]
-    return D
+    return _correction_rows(np.eye(n), model.coeffs[None], grid)
 
 
 def predictive_dft(ts: TimeSeries, model: ArModel, grid: FrequencyGrid) -> np.ndarray:
@@ -142,7 +145,7 @@ def predictive_dft(ts: TimeSeries, model: ArModel, grid: FrequencyGrid) -> np.nd
     p <= n; an order-0 model yields zero correction.
     """
     _check_order(model.p, ts.n)
-    return _extension_transform(ts.values, model.coeffs, grid)
+    return _correction_rows(ts.values[None], model.coeffs[None], grid)[0]
 
 
 def predictive_dft_truncated_infinite(
@@ -154,22 +157,41 @@ def predictive_dft_truncated_infinite(
     long coefficient vector a[1..M] (an expanded ARMA model, say) treated as
     zero beyond M.  All n observations can contribute when M > n.
     """
-    return _extension_transform(ts.values, TruncatedInfinite(ar_coeffs).coeffs, grid)
+    return _correction_rows(ts.values[None], TruncatedInfinite(ar_coeffs).coeffs[None], grid)[0]
 
 
-def _resolve_source(ts: TimeSeries, source: ModelSource):
-    """Materialize the AR description an estimate should be built from."""
+def _source_rows(x: np.ndarray, source: ModelSource):
+    """The AR coefficients a source gives each row of x (rows, n).
+
+    Returns (coeffs, orders, kind): a (rows, m) block, or (1, m) for a known
+    model; the per-row orders (None for a truncated sequence); and the kind
+    of the resulting estimate.
+    """
+    rows, n = x.shape
     if isinstance(source, Explicit):
-        return source.model, "complete-true-ar", source.model.p
+        _check_order(source.model.p, n)
+        return source.model.coeffs[None], np.full(rows, source.model.p), "complete-true-ar"
     if isinstance(source, FixedOrder):
-        model = yule_walker_fit(ts, source.p)
-        return model, "complete", model.p
+        coeffs, _ = _yule_walker_rows(x, source.p)
+        return coeffs[:, source.p, : source.p], np.full(rows, source.p), "complete"
     if isinstance(source, AutoAIC):
-        sel = aic_select(ts, source.max_order)
-        return sel.model, "complete", sel.chosen_p
+        orders, coeffs, _, _ = _aic_rows(x, source.max_order)
+        return coeffs[:, : orders.max()], orders, "complete"
     if isinstance(source, TruncatedInfinite):
-        return source, "complete", None
+        return source.coeffs[None], None, "complete"
     raise DomainError(f"unknown model source {source!r}")
+
+
+def _complete_rows(x: np.ndarray, source: ModelSource, grid: FrequencyGrid, taper: Taper | None = None):
+    """Completed periodogram of each row of x (rows, n); see `complete_periodogram`.
+
+    Returns (values, orders, kind), with the orders as `_source_rows` gives them.
+    """
+    a, orders, kind = _source_rows(x, source)
+    j = _dft_rows(x, grid)
+    conj_factor = j if taper is None else _dft_rows(x, grid, taper)
+    kind = kind if taper is None else "tapered-complete"
+    return (j + _correction_rows(x, a, grid)) * np.conj(conj_factor), orders, kind
 
 
 def complete_periodogram(
@@ -185,21 +207,12 @@ def complete_periodogram(
     are complex; callers wanting a real estimate take the real part (see
     `threshold_real`).
     """
-    resolved, kind, order = _resolve_source(ts, source)
-    if isinstance(resolved, TruncatedInfinite):
-        correction = predictive_dft_truncated_infinite(ts, resolved.coeffs, grid)
-    else:
-        correction = predictive_dft(ts, resolved, grid)
-    j = dft(ts, grid)
-    completed = j + correction
-    if taper is None:
-        conj_factor = j
-        meta = PgMeta(order=order)
-    else:
-        conj_factor = dft(ts, grid, taper)
-        kind = "tapered-complete"
-        meta = PgMeta(order=order, taper=taper.description)
-    return PeriodogramEstimate(grid, completed * np.conj(conj_factor), kind=kind, meta=meta)
+    values, orders, kind = _complete_rows(ts.values[None], source, grid, taper)
+    meta = PgMeta(
+        order=None if orders is None else int(orders[0]),
+        taper=None if taper is None else taper.description,
+    )
+    return PeriodogramEstimate(grid, values[0], kind=kind, meta=meta)
 
 
 def threshold_real(pg: PeriodogramEstimate, delta: float) -> PeriodogramEstimate:

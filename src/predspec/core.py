@@ -284,28 +284,30 @@ class PeriodogramEstimate:
                 raise DomainError("thresholded-real values must be real and >= threshold")
 
 
+def _autocov_rows(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """Biased sample autocovariances c(0..max_lag) of each row of x (rows, n)."""
+    rows, n = x.shape
+    c = np.empty((rows, max_lag + 1))
+    for k in range(max_lag + 1):
+        c[:, k] = np.einsum("ij,ij->i", x[:, : n - k], x[:, k:])
+    return c / n
+
+
 def sample_autocov(ts: TimeSeries, max_lag: int) -> CovarianceSequence:
     """Biased (divisor n) sample autocovariances of a mean-zero series.
 
     c(k) = n**-1 * sum_{t=1..n-k} x[t] * x[t+k] for k = 0..max_lag.  The
     series is used as given; remove the mean first if it is not known to be 0.
     """
-    n = ts.n
     if max_lag < 0:
         raise DomainError("max_lag must be nonnegative")
-    if max_lag >= n:
+    if max_lag >= ts.n:
         raise DomainError("lag exceeds sample")
-    x = ts.values
-    full = np.correlate(x, x, mode="full")
-    c = full[n - 1 : n + max_lag] / n
-    return CovarianceSequence(c, estimator="biased-sample")
+    return CovarianceSequence(_autocov_rows(ts.values[None], max_lag)[0], estimator="biased-sample")
 
 
-def dft(ts: TimeSeries, grid: FrequencyGrid, taper: Taper | None = None) -> np.ndarray:
-    """n**-0.5 * sum_t h[t] * x[t] * exp(1j*t*w) on the grid.
-
-    With a taper the rescaled weights (summing to n) multiply the data; with
-    none, h is identically 1.
+def _phase_sums(x: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """sum_{t=1..n} x[:, t-1] * exp(1j*t*w) on the grid, for each row of x (rows, n).
 
     Fourier and uniform grids are lattices w_k = w_0 + 2*pi*k/M (w_0 = 0 and
     pi/M respectively), which ``FrequencyGrid`` enforces exactly.  There
@@ -314,18 +316,44 @@ def dft(ts: TimeSeries, grid: FrequencyGrid, taper: Taper | None = None) -> np.n
     one unnormalized inverse FFT of length M, for any M versus n.  Explicit
     grids have no such structure and take the direct O(n * |grid|) sum.
     """
-    n = ts.n
-    x = ts.values
+    rows, n = x.shape
+    if grid.kind == "explicit":
+        return x @ np.exp(1j * np.outer(np.arange(1, n + 1), grid.frequencies))
+    M, w0 = grid.size, grid.frequencies[0]
+    buf = np.zeros((rows, -(-(n + 1) // M) * M), dtype=complex)  # slots t = 0..n, padded to rows of M
+    buf[:, 1 : n + 1] = x * np.exp(1j * w0 * np.arange(1, n + 1)) if w0 else x
+    folded = buf[:, :M]
+    for start in range(M, buf.shape[1], M):  # fold t mod M into the first M slots
+        folded += buf[:, start : start + M]
+    return scipy.fft.ifft(folded, norm="forward", overwrite_x=True)
+
+
+def _dft_rows(x: np.ndarray, grid: FrequencyGrid, taper: Taper | None = None) -> np.ndarray:
+    """The DFT of each row of x (rows, n), tapered when a taper is given; see `dft`."""
     if taper is not None:
-        if taper.n != n:
+        if taper.n != x.shape[-1]:
             raise DomainError("taper length does not match the series")
         x = x * taper.weights
-    if grid.kind == "explicit":
-        return (x @ np.exp(1j * np.outer(np.arange(1, n + 1), grid.frequencies))) / math.sqrt(n)
-    M, w0 = grid.size, grid.frequencies[0]
-    buf = np.zeros(-(-(n + 1) // M) * M, dtype=complex)  # slots t = 0..n, padded to rows of M
-    buf[1 : n + 1] = x * np.exp(1j * w0 * np.arange(1, n + 1)) if w0 else x
-    return scipy.fft.ifft(buf.reshape(-1, M).sum(axis=0), norm="forward") / math.sqrt(n)
+    return _phase_sums(x, grid) / math.sqrt(x.shape[-1])
+
+
+def dft(ts: TimeSeries, grid: FrequencyGrid, taper: Taper | None = None) -> np.ndarray:
+    """n**-0.5 * sum_t h[t] * x[t] * exp(1j*t*w) on the grid.
+
+    With a taper the rescaled weights (summing to n) multiply the data; with
+    none, h is identically 1.  Lattice grids are evaluated by one FFT, explicit
+    grids by the direct sum (see `_phase_sums`).
+    """
+    return _dft_rows(ts.values[None], grid, taper)[0]
+
+
+def _periodogram_rows(x: np.ndarray, grid: FrequencyGrid, taper: Taper | None = None) -> np.ndarray:
+    """Raw periodogram of each row of x (rows, n); see `raw_periodogram`."""
+    j = _dft_rows(x, grid, taper)
+    vals = j.real**2 + j.imag**2
+    if taper is not None:
+        vals *= taper.h1**2 / (x.shape[-1] * taper.h2)
+    return vals
 
 
 def raw_periodogram(
@@ -338,9 +366,7 @@ def raw_periodogram(
     tapered DFT weights the data by h(t/n) * n / h1, that is its squared
     modulus times h1**2 / (n * h2).
     """
-    j = dft(ts, grid, taper)
-    vals = j.real**2 + j.imag**2
+    vals = _periodogram_rows(ts.values[None], grid, taper)[0]
     if taper is None:
         return PeriodogramEstimate(grid, vals, kind="regular")
-    vals *= taper.h1**2 / (ts.n * taper.h2)
     return PeriodogramEstimate(grid, vals, kind="tapered", meta=PgMeta(taper=taper.description))

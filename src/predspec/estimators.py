@@ -2,16 +2,20 @@
 
 Experiment runners, integrated statistics, and the CLI all need to say
 "the tapered completed periodogram with AIC-selected order" as data; this
-module holds that description and evaluates it on a series.  It is the one
-place that knows which kinds taper and where each kind's AR model comes from.
+module holds that description and evaluates it on a series, or on a block
+of series for the experiment runner.  It is the one place that knows which
+kinds taper and where each kind's AR model comes from.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .complete import AutoAIC, Explicit, ModelSource, complete_periodogram
+import numpy as np
+
+from .complete import AutoAIC, Explicit, ModelSource, _complete_rows, complete_periodogram
 from .core import FrequencyGrid, PeriodogramEstimate, Taper, TimeSeries, raw_periodogram, tukey_taper
+from .core import _periodogram_rows
 from .exceptions import DomainError
 
 __all__ = ["ESTIMATOR_KINDS", "EstimatorSpec", "evaluate_estimator", "default_rise"]
@@ -80,12 +84,28 @@ class EstimatorSpec:
         return tukey_taper(n, self.taper_d if self.taper_d is not None else default_rise(n))
 
 
-def evaluate_estimator(ts: TimeSeries, spec: EstimatorSpec, grid: FrequencyGrid) -> PeriodogramEstimate:
-    """Evaluate the described estimator on a series over a grid."""
-    taper = spec.taper_for(ts.n) if spec.tapered else None
+def _plan(spec: EstimatorSpec, n: int):
+    """The taper and the AR model source (None for the raw kinds) of a spec at length n."""
+    taper = spec.taper_for(n) if spec.tapered else None
     if not spec.completed:
-        return raw_periodogram(ts, grid, taper)
+        return taper, None
     if spec.source is None and spec.kind == "complete-true":
         raise DomainError("complete-true estimator needs the generating AR model as source=Explicit(model)")
-    source = spec.source if spec.source is not None else AutoAIC()
+    return taper, spec.source if spec.source is not None else AutoAIC()
+
+
+def _estimate_rows(spec: EstimatorSpec, x: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """The estimator on each row of x (rows, n): real values for the raw
+    kinds, complex ones for the completed kinds."""
+    taper, source = _plan(spec, x.shape[-1])
+    if source is None:
+        return _periodogram_rows(x, grid, taper)
+    return _complete_rows(x, source, grid, taper)[0]
+
+
+def evaluate_estimator(ts: TimeSeries, spec: EstimatorSpec, grid: FrequencyGrid) -> PeriodogramEstimate:
+    """Evaluate the described estimator on a series over a grid."""
+    taper, source = _plan(spec, ts.n)
+    if source is None:
+        return raw_periodogram(ts, grid, taper)
     return complete_periodogram(ts, source, grid, taper=taper)

@@ -139,13 +139,8 @@ def spectral_mean(
 
 
 def _cosine_moments(vals: np.ndarray, freqs: np.ndarray, lags: int) -> np.ndarray:
-    """Grid means of cos(r*w) * vals for r = 0..lags, along the last axis.
-
-    One matrix-vector product per row, so each row's result is the same
-    whichever rows are reduced beside it.
-    """
-    basis = np.cos(np.outer(np.arange(lags + 1), freqs))
-    return np.apply_along_axis(lambda row: basis @ row, -1, vals) / freqs.size
+    """Grid means of cos(r*w) * vals for r = 0..lags, along the last axis."""
+    return vals @ np.cos(np.outer(freqs, np.arange(lags + 1))) / freqs.size
 
 
 def _smooth_rows(vals: np.ndarray, window: SpectralWindow) -> np.ndarray:

@@ -170,7 +170,7 @@ def test_experiment_command(tmp_path):
         "estimators = regular, complete\n"
     )
     out = tmp_path / "table.csv"
-    assert main(["experiment", str(cfg), "--threads", "2", "--out", str(out)]) == 0
+    assert main(["experiment", str(cfg), "--out", str(out)]) == 0
     rows = out.read_text().splitlines()
     assert rows[1] == "estimator,imse,ibias,imse_se,ibias_se"
     assert rows[2].startswith("regular,")
@@ -185,7 +185,7 @@ def test_experiment_command(tmp_path):
     assert all(isinstance(v, float) for k in list(cols)[1:] for v in cols[k])
 
 
-def test_experiment_config_errors(tmp_path, capsys, monkeypatch):
+def test_experiment_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("model = m1\nlambda = 0.9\nn = 16\nB = 10\nseed = 1\n"
                    "estimators = regular\nwindow = bartlett\n")
@@ -203,10 +203,6 @@ def test_experiment_config_errors(tmp_path, capsys, monkeypatch):
         bad.write_text(base + lam + extra + "\n")
         assert main(["experiment", str(bad)]) == 2, extra
         assert "error" in capsys.readouterr().err
-    bad.write_text(base + "lambda = 0.9\n")
-    monkeypatch.setenv("PREDSPEC_THREADS", "abc")
-    assert main(["experiment", str(bad)]) == 2
-    assert "PREDSPEC_THREADS" in capsys.readouterr().err
 
 
 def test_config_format_parse_roundtrip():

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from predspec import (
+    ArModel,
     DomainError,
     EstimatorSpec,
     ExperimentSpec,
+    Explicit,
+    FixedOrder,
     FrequencyGrid,
     builtin_models,
     raw_periodogram,
@@ -68,6 +71,11 @@ def test_experiment_spec_validation():
         ExperimentSpec(model=m, n=20, replications=10, estimators=est, seed=1,
                        smoothing=("parzen", 2))
     with pytest.raises(DomainError):
+        # complete-true always uses the generating model, so a source of the
+        # caller's own would be ignored
+        ExperimentSpec(model=m, n=20, replications=10, seed=1,
+                       estimators=(EstimatorSpec("complete-true", source=Explicit(ArModel([0.5], 1.0))),))
+    with pytest.raises(DomainError):
         # smoothing and ACF mode are mutually exclusive
         ExperimentSpec(model=m, n=20, replications=10, estimators=est, seed=1,
                        smoothing=("daniell", 2), acf_lags=10)
@@ -107,6 +115,68 @@ def test_experiment_thread_count_invariance():
             if "acf_lags" in mode:
                 np.testing.assert_array_equal(r1.per_lag_mse, r4.per_lag_mse)
                 np.testing.assert_array_equal(r1.per_lag_bias, r4.per_lag_bias)
+
+
+# Tables of m1 (lambda = 0.8), seed 2024, B = 70 (full blocks of
+# replications and a part block), with every estimator kind, a fixed-order
+# fit and an explicit taper rise; rows hold (imse, ibias, imse_se, ibias_se).
+# The values were produced by the per-replication runner that evaluated each
+# series through `evaluate_estimator`.  A change to the random streams moves
+# them near 1e-2; reassociated sums move them near 1e-15.
+_GOLDEN_ESTIMATORS = (
+    EstimatorSpec("regular"),
+    EstimatorSpec("tapered", taper_d=3),
+    EstimatorSpec("complete-true"),
+    EstimatorSpec("complete"),
+    EstimatorSpec("tapered-complete"),
+    EstimatorSpec("complete", source=FixedOrder(2)),
+)
+_GOLDEN_MODES = {
+    "periodogram": dict(n=24),
+    "smoothed": dict(n=30, smoothing=("hann", 2)),
+    "acf": dict(n=20, acf_lags=5, acf_points=64),
+}
+_GOLDEN_TABLES = {
+    "periodogram": [
+        (1.5928056319659518, 0.05638161317256868, 0.14655724205767207, 0.02182415541952388),
+        (1.4898499151750466, 0.045946276248659705, 0.15229133789952956, 0.017954289804133026),
+        (1.2134121362350732, 0.011513033685281745, 0.09888988780674093, 0.008205440947525854),
+        (1.2537791191696066, 0.01462294564155533, 0.1050955256434429, 0.009284838597884855),
+        (1.3041546099370502, 0.015629836380275253, 0.1293469165840538, 0.010130639478846258),
+        (1.2587132044830296, 0.015005851545660927, 0.1039319878072145, 0.009607878344633072),
+    ],
+    "smoothed": [
+        (0.5955584689938554, 0.05534010463137222, 0.055284100935206436, 0.016347555934495567),
+        (0.6025883154970239, 0.05367509303474343, 0.057641438360021884, 0.015564811070021051),
+        (0.4934837514155927, 0.021235164687439592, 0.04281768089781875, 0.0075011929227862114),
+        (0.5204265711445787, 0.022858332827414604, 0.04633695937377896, 0.008149120389786737),
+        (0.5442444435157461, 0.02455340541799033, 0.05179707985620746, 0.009207006370339372),
+        (0.5140741881436668, 0.023418676055595215, 0.04460505817007003, 0.008279945690978494),
+    ],
+    "acf": [
+        (0.0388144848806394, 0.005081550250559326, 0.00390885665190522, 0.0017604899033223465),
+        (0.04199496911844356, 0.004403638447217555, 0.004404710487728016, 0.0017017926614048037),
+        (0.035939684744471345, 0.0010091908946387221, 0.003544258753857559, 0.000805166845205452),
+        (0.04203038797909766, 0.0016248787113480971, 0.00407914721440228, 0.0011170624882316923),
+        (0.043229817423737917, 0.001455378704577512, 0.004191819240160474, 0.0010566859125395122),
+        (0.04086346688405419, 0.0016684707404961013, 0.0038556819711076645, 0.0011234868602434383),
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_GOLDEN_MODES))
+def test_experiment_golden_tables(mode):
+    spec = ExperimentSpec(model=builtin_models("m1", 0.8), replications=70,
+                          estimators=_GOLDEN_ESTIMATORS, seed=2024, **_GOLDEN_MODES[mode])
+    table = run_experiment(spec)
+    assert table.mode == mode
+    got = [(r.imse, r.ibias, r.imse_se, r.ibias_se) for r in table.rows]
+    np.testing.assert_allclose(got, _GOLDEN_TABLES[mode], rtol=1e-12, atol=0.0)
+    # a second run of the same spec reproduces the table bit for bit
+    again = run_experiment(spec)
+    assert [(r.imse, r.ibias, r.imse_se, r.ibias_se) for r in again.rows] == got
+    for r1, r2 in zip(table.rows, again.rows):
+        np.testing.assert_array_equal(r1.per_lag_mse, r2.per_lag_mse)
 
 
 def test_experiment_single_replication_degenerate():
