@@ -36,15 +36,21 @@ def _recursion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.roots(np.concatenate(([1.0], -np.asarray(coeffs, dtype=float))))
 
 
+def _ar_phases(freqs, p: int) -> np.ndarray:
+    """The phase table exp(-1j*j*w) for j = 1..p, shaped (*freqs.shape, p)."""
+    return np.exp(-1j * np.multiply.outer(np.asarray(freqs, dtype=float), np.arange(1, p + 1)))
+
+
 def _transfer_polynomial(coeffs: np.ndarray, freqs) -> np.ndarray:
     """1 - sum_j coeffs[..., j-1] * exp(-1j*j*w) at each frequency (1 when empty).
 
     Leading axes of `coeffs` are batch axes: a (rows, p) block gives one
-    polynomial per row, shaped (rows, *freqs.shape).
+    polynomial per row, shaped (rows, *freqs.shape).  A caller that
+    evaluates many coefficient vectors on one grid (`ar_family`) builds the
+    `_ar_phases` table once and repeats this contraction against it.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    j = np.arange(1, coeffs.shape[-1] + 1)
-    return 1.0 - np.inner(coeffs, np.exp(-1j * np.multiply.outer(np.asarray(freqs, dtype=float), j)))
+    return 1.0 - np.inner(coeffs, _ar_phases(freqs, coeffs.shape[-1]))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 import scipy.optimize
 
-from .arfit import _transfer_polynomial
+from .arfit import _ar_phases
 from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries
 from .complete import threshold_real
 from .estimators import EstimatorSpec, evaluate_estimator
@@ -200,18 +200,34 @@ def smooth_periodogram(pg: PeriodogramEstimate, window: SpectralWindow) -> Perio
 class SpectralFamily:
     """Parametric spectral density family with box constraints.
 
-    `density(theta, w)` must be vectorized in w and positive on (0, 2*pi)
-    for admissible theta; `bounds` holds an inclusive (lo, hi) box per
-    parameter.
+    `on_grid(w)` binds the family to a frequency array and returns the
+    density on it, theta -> f_theta(w), an array shaped like `w` and
+    positive for admissible theta.  Work that depends only on the grid
+    (phase tables, say) belongs in `on_grid`, which `whittle_fit` calls once
+    per fit, not in the returned function, which it calls per evaluation.
+    `bounds` holds an inclusive (lo, hi) box per parameter, lo < hi; either
+    end may be infinite.
     """
 
-    density: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    on_grid: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
     bounds: tuple
     name: str = ""
+
+    def __post_init__(self):
+        try:
+            box = np.asarray(self.bounds, dtype=float)
+        except (TypeError, ValueError):
+            box = np.empty(0)
+        if box.ndim != 2 or box.shape[0] < 1 or box.shape[1] != 2 or not np.all(box[:, 0] < box[:, 1]):
+            raise DomainError("bounds must be a non-empty tuple of (lo, hi) pairs with lo < hi")
 
     @property
     def dim(self) -> int:
         return len(self.bounds)
+
+    def density(self, theta: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """f_theta(w) for one theta; binds the grid afresh on every call."""
+        return self.on_grid(w)(theta)
 
 
 def ar_family(p: int, limit: float = 0.99) -> SpectralFamily:
@@ -219,16 +235,24 @@ def ar_family(p: int, limit: float = 0.99) -> SpectralFamily:
 
     The Whittle objective's minimizer over the coefficients does not depend
     on the innovation variance (the log term integrates to its logarithm),
-    so the variance is profiled out rather than fitted.
+    so the variance is profiled out rather than fitted.  `on_grid` builds
+    the (|w|, p) phase table exp(-1j*j*w) once; each evaluation is then one
+    contraction 1 - theta . table, the same bits as the AR transfer
+    polynomial.
     """
     if p < 1:
         raise DomainError("family order must be >= 1")
 
-    def density(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
-        aw = _transfer_polynomial(theta, w)
-        return 1.0 / (aw.real**2 + aw.imag**2)
+    def on_grid(w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        phases = _ar_phases(w, p)
 
-    return SpectralFamily(density=density, bounds=((-limit, limit),) * p, name=f"ar({p})")
+        def density(theta: np.ndarray) -> np.ndarray:
+            aw = 1.0 - np.inner(np.asarray(theta, dtype=float), phases)
+            return 1.0 / (aw.real**2 + aw.imag**2)
+
+        return density
+
+    return SpectralFamily(on_grid=on_grid, bounds=((-limit, limit),) * p, name=f"ar({p})")
 
 
 @dataclass(frozen=True)
@@ -250,9 +274,11 @@ def whittle_fit(
 
     K(theta) = quadrature mean of estimate/f_theta + quadrature mean of
     log f_theta (the latter approximating (2*pi)**-1 * integral log f_theta).
-    Derivative-free simplex search with restarts on stalls; convergence is a
-    simplex diameter below 1e-8 within a budget of 500*dim evaluations.
-    Non-convergence flags the result instead of raising.
+    The family is bound to the quadrature grid once per fit, through
+    `family.on_grid`; a bound density whose shape is not the grid's raises
+    DomainError.  Derivative-free simplex search with restarts on stalls;
+    convergence is a simplex diameter below 1e-8 within a budget of 500*dim
+    evaluations.  Non-convergence flags the result instead of raising.
     """
     if cfg is None:
         cfg = SpectralMeanConfig()
@@ -267,14 +293,18 @@ def whittle_fit(
     pg = evaluate_estimator(ts, estimator, grid)
     vals = _prepared_values(pg, cfg).real
     w = grid.frequencies
+    density = family.on_grid(w)
     trace: list = []
 
     def objective(theta: np.ndarray) -> float:
-        f = np.asarray(family.density(theta, w), dtype=float)
-        if np.any(~np.isfinite(f)) or np.any(f <= 0.0):
-            value = np.inf
+        f = np.asarray(density(theta), dtype=float)
+        if f.shape != w.shape:
+            raise DomainError("the family density must evaluate elementwise on the frequency array")
+        if np.isfinite(f).all() and (f > 0.0).all():
+            # sum/size is np.mean's arithmetic without its dispatch overhead
+            value = float((vals / f).sum() / f.size + np.log(f).sum() / f.size)
         else:
-            value = float(np.mean(vals / f) + np.mean(np.log(f)))
+            value = np.inf
         trace.append((theta.copy(), value))
         return value
 
