@@ -44,10 +44,14 @@ def _ar_phases(freqs, p: int) -> np.ndarray:
 def _transfer_polynomial(coeffs: np.ndarray, freqs) -> np.ndarray:
     """1 - sum_j coeffs[..., j-1] * exp(-1j*j*w) at each frequency (1 when empty).
 
-    Leading axes of `coeffs` are batch axes: a (rows, p) block gives one
-    polynomial per row, shaped (rows, *freqs.shape).  A caller that
-    evaluates many coefficient vectors on one grid (`ar_family`) builds the
-    `_ar_phases` table once and repeats this contraction against it.
+    Serves callers holding an array of frequencies: `ArModel.transfer`, the
+    `ArmaModel` polynomials and, through `_ar_phases`, `ar_family`.  Leading
+    axes of `coeffs` are batch axes: a (rows, p) block gives one polynomial
+    per row, shaped (rows, *freqs.shape).  A caller that evaluates many
+    coefficient vectors on one grid (`ar_family`) builds the `_ar_phases`
+    table once and repeats this contraction against it.  The predictive
+    correction does not call it: it reads a(w) off the FFT that also gives
+    its boundary sums (see `complete._correction_rows`).
     """
     coeffs = np.asarray(coeffs, dtype=float)
     return 1.0 - np.inner(coeffs, _ar_phases(freqs, coeffs.shape[-1]))

@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .arfit import ArModel, _aic_rows, _transfer_polynomial, _yule_walker_rows
+from .arfit import ArModel, _aic_rows, _yule_walker_rows
 from .core import (
     FrequencyGrid,
     PeriodogramEstimate,
@@ -97,23 +97,26 @@ def _correction_rows(x: np.ndarray, a: np.ndarray, grid: FrequencyGrid) -> np.nd
                        v = x[::-1][:r] @ C
 
     and the correction is their total over sqrt(n).  Each end is contracted
-    to a length-m vector before one phase sum over the grid.  The sums
-    divide by a(w), so |a(w)| < 1e-8 anywhere on the grid raises
-    NumericalError.
+    to a length-m vector, and the coefficient rows ride along with u and v
+    through one phase sum over the grid (one FFT on Fourier and uniform
+    grids), which yields both boundary sums and
+    a(w) = 1 - conj(sum_j a[j] * exp(1j*j*w)).  The sums divide by a(w), so
+    |a(w)| < 1e-8 anywhere on the grid raises NumericalError.
     """
     rows, n = x.shape
     m = a.shape[-1]
     w = grid.frequencies
-    aw = _transfer_polynomial(a, w)
-    if np.min(np.abs(aw)) < 1e-8:
-        raise NumericalError("AR transfer function vanishes on the grid (|a(w)| < 1e-8)")
     r = min(n, m)
     a_pad = np.concatenate((a, np.zeros((a.shape[0], r))), axis=1)
     ends = np.array((x[:, :r], x[:, ::-1][:, :r]))  # (2, rows, r): x[1 + l] and x[n - l]
     uv = np.zeros((2, rows, m))
     for l in range(r):
         uv += ends[:, :, l, None] * a_pad[:, l : l + m]
-    back, fwd = _phase_sums(uv.reshape(2 * rows, m), grid).reshape(2, rows, -1)  # sum_s (.)[s] e^{i(s+1)w}
+    sums = _phase_sums(np.concatenate((uv.reshape(2 * rows, m), a)), grid)  # sum_s (.)[s] e^{i(s+1)w}
+    aw = 1.0 - np.conj(sums[2 * rows :])
+    if np.min(np.abs(aw)) < 1e-8:
+        raise NumericalError("AR transfer function vanishes on the grid (|a(w)| < 1e-8)")
+    back, fwd = sums[: 2 * rows].reshape(2, rows, -1)
     back = np.exp(1j * w) * np.conj(back) / aw
     return (back + np.exp(1j * n * w) * fwd / np.conj(aw)) / np.sqrt(n)
 

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import predspec
 from predspec import (
     ArmaModel,
     DomainError,
@@ -232,11 +234,16 @@ def test_verify_subcommand_runs(capsys):
 
 
 def test_entry_point_subprocess(tmp_path):
-    # the installed console script behaves like main()
+    # the installed console script behaves like main(); the child imports the
+    # same predspec as this process, which a checkout finds through pytest's
+    # pythonpath setting, not through the environment the child inherits
+    package_root = os.path.dirname(os.path.dirname(predspec.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "predspec.cli", "simulate", "--model", "m1:0.9",
          "--n", "5", "--seed", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "value"

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from predspec import (
     threshold_real,
     tukey_taper,
 )
+from predspec import complete
+from predspec.arfit import _transfer_polynomial
 
 
 def test_predictive_dft_ar0_is_zero():
@@ -276,3 +279,41 @@ def test_correction_paths_agree(case):
         cov = arma_expand(ArmaModel(model.coeffs, [], 1.0), M=ts.n + 400).autocov
         brute = predictive_dft_bruteforce(ts, cov, grid, horizon=200)
         np.testing.assert_allclose(vector, brute, rtol=0.0, atol=1e-8 * max(1.0, float(np.max(np.abs(brute)))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_correction_transfer_polynomial_matches_direct_sum(data):
+    """The correction reads a(w) off the one phase sum (an FFT on Fourier and
+    uniform grids) that also gives its boundary sums.  It must equal the
+    direct sum `_transfer_polynomial` to 1e-12 of its largest modulus, for
+    per-row and shared coefficients, with m below and above both n and M.
+    The |a(w)| guard and the order-0 case hold on the same blocks."""
+    rows = data.draw(st.integers(1, 40))
+    m = data.draw(st.integers(1, 120))
+    n = data.draw(st.integers(1, 160))
+    M = data.draw(st.integers(1, 700))
+    grid = FrequencyGrid.fourier(M) if data.draw(st.booleans()) else FrequencyGrid.uniform(M)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    x = rng.standard_normal((rows, n))
+    a = rng.standard_normal((rows if data.draw(st.booleans()) else 1, m)) / np.sqrt(m)
+
+    calls = []
+    phase_sums = complete._phase_sums
+
+    def spy(block, g):
+        out = phase_sums(block, g)
+        calls.append((block, out))
+        return out
+
+    with mock.patch.object(complete, "_phase_sums", spy):
+        complete._correction_rows(x, a, grid)
+    (block, sums), = calls
+    np.testing.assert_array_equal(block[-a.shape[0] :], a)
+    aw = 1.0 - np.conj(sums[-a.shape[0] :])
+    want = _transfer_polynomial(a, grid.frequencies)
+    assert np.max(np.abs(aw - want)) <= 1e-12 * np.max(np.abs(want))
+
+    assert not np.any(complete._correction_rows(x, a[:, :0], grid))
+    with pytest.raises(NumericalError):
+        complete_periodogram(TimeSeries(x[0]), Explicit(ArModel([1 - 1e-9], 1.0)), FrequencyGrid.fourier(n))

@@ -342,7 +342,7 @@ _WHITTLE_GOLDEN = {
     (1, 2, 'fourier', 'regular'): ([0.6337797648641244, -0.40210362339775024], 0.799997856998685, 141, True),
     (1, 2, 'fourier', 'complete'): ([0.6370618071762679, -0.40394269705823704], 0.8007440191875226, 139, True),
     (1, 3, 'riemann', 'regular'): ([0.6184738736119455, -0.38027381531455673, -0.02779660141925533], 0.8041755001653824, 260, True),
-    (1, 3, 'riemann', 'complete'): ([0.6225085039763634, -0.3831407096381235, -0.027677055247139683], 0.8001781388134775, 265, True),
+    (1, 3, 'riemann', 'complete'): ([0.622508506206461, -0.383140708804093, -0.0276770545347065], 0.8001781388134774, 267, True),
     (1, 3, 'fourier', 'regular'): ([0.6228194796253725, -0.38482845955350453, -0.027257362492294844], 0.799403487394611, 266, True),
     (1, 3, 'fourier', 'complete'): ([0.6249264179622085, -0.3848038589340118, -0.030042344645116473], 0.8000213139727034, 261, True),
 }
