@@ -185,16 +185,18 @@ def _source_rows(x: np.ndarray, source: ModelSource):
     raise DomainError(f"unknown model source {source!r}")
 
 
-def _complete_rows(x: np.ndarray, source: ModelSource, grid: FrequencyGrid, taper: Taper | None = None):
-    """Completed periodogram of each row of x (rows, n); see `complete_periodogram`.
+def _completed_dft_rows(x: np.ndarray, source: ModelSource, grid: FrequencyGrid, j: np.ndarray):
+    """The completed DFT J + correction of each row of x (rows, n), given its DFT rows j.
 
-    Returns (values, orders, kind), with the orders as `_source_rows` gives them.
+    Returns (completed, orders, kind), with the orders and kind as `_source_rows` gives them.
     """
     a, orders, kind = _source_rows(x, source)
-    j = _dft_rows(x, grid)
-    conj_factor = j if taper is None else _dft_rows(x, grid, taper)
-    kind = kind if taper is None else "tapered-complete"
-    return (j + _correction_rows(x, a, grid)) * np.conj(conj_factor), orders, kind
+    return j + _correction_rows(x, a, grid), orders, kind
+
+
+def _complete_rows(completed: np.ndarray, conj_factor: np.ndarray) -> np.ndarray:
+    """Completed periodogram rows: the completed DFT times the conjugated (possibly tapered) DFT."""
+    return completed * np.conj(conj_factor)
 
 
 def complete_periodogram(
@@ -208,14 +210,21 @@ def complete_periodogram(
     The taper only ever enters the conjugated factor; the completed factor is
     always built from the plain DFT plus its predictive correction.  Values
     are complex; callers wanting a real estimate take the real part (see
-    `threshold_real`).
+    `threshold_real`).  Values too large to multiply raise NumericalError.
     """
-    values, orders, kind = _complete_rows(ts.values[None], source, grid, taper)
+    x = ts.values[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        j = _dft_rows(x, grid)
+        completed, orders, kind = _completed_dft_rows(x, source, grid, j)
+        values = _complete_rows(completed, j if taper is None else _dft_rows(x, grid, taper))[0]
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("completed periodogram overflows: the series is too large")
     meta = PgMeta(
         order=None if orders is None else int(orders[0]),
         taper=None if taper is None else taper.description,
     )
-    return PeriodogramEstimate(grid, values[0], kind=kind, meta=meta)
+    kind = kind if taper is None else "tapered-complete"
+    return PeriodogramEstimate(grid, values, kind=kind, meta=meta)
 
 
 def threshold_real(pg: PeriodogramEstimate, delta: float) -> PeriodogramEstimate:

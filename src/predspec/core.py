@@ -17,7 +17,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from .exceptions import DomainError
+from .exceptions import DomainError, NumericalError
 
 TWO_PI = 2.0 * np.pi
 
@@ -347,12 +347,11 @@ def dft(ts: TimeSeries, grid: FrequencyGrid, taper: Taper | None = None) -> np.n
     return _dft_rows(ts.values[None], grid, taper)[0]
 
 
-def _periodogram_rows(x: np.ndarray, grid: FrequencyGrid, taper: Taper | None = None) -> np.ndarray:
-    """Raw periodogram of each row of x (rows, n); see `raw_periodogram`."""
-    j = _dft_rows(x, grid, taper)
+def _periodogram_rows(j: np.ndarray, taper: Taper | None = None) -> np.ndarray:
+    """Raw periodogram from DFT rows j, taken with `taper` (or none); see `raw_periodogram`."""
     vals = j.real**2 + j.imag**2
     if taper is not None:
-        vals *= taper.h1**2 / (x.shape[-1] * taper.h2)
+        vals *= taper.h1**2 / (taper.n * taper.h2)
     return vals
 
 
@@ -364,9 +363,12 @@ def raw_periodogram(
     Untapered: |dft|**2.  Tapered: |sum_t h(t/n) x[t] exp(1j*t*w)|**2 / h2,
     the raw taper shape with its own second-moment normalizer; since the
     tapered DFT weights the data by h(t/n) * n / h1, that is its squared
-    modulus times h1**2 / (n * h2).
+    modulus times h1**2 / (n * h2).  Values that overflow raise NumericalError.
     """
-    vals = _periodogram_rows(ts.values[None], grid, taper)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _periodogram_rows(_dft_rows(ts.values[None], grid, taper), taper)[0]
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError("periodogram overflows: the series is too large")
     if taper is None:
         return PeriodogramEstimate(grid, vals, kind="regular")
     return PeriodogramEstimate(grid, vals, kind="tapered", meta=PgMeta(taper=taper.description))

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complete import AutoAIC, Explicit, ModelSource, _complete_rows, complete_periodogram
-from .core import FrequencyGrid, PeriodogramEstimate, Taper, TimeSeries, raw_periodogram, tukey_taper
-from .core import _periodogram_rows
+from .complete import AutoAIC, Explicit, ModelSource, complete_periodogram
+from .complete import _complete_rows, _completed_dft_rows
+from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries, raw_periodogram, tukey_taper
+from .core import _dft_rows, _periodogram_rows
 from .exceptions import DomainError
 
 __all__ = ["ESTIMATOR_KINDS", "EstimatorSpec", "evaluate_estimator", "default_rise"]
@@ -80,32 +81,65 @@ class EstimatorSpec:
         """Row name in experiment tables: the kind, plus an explicit rise length."""
         return self.kind if self.taper_d is None else f"{self.kind}(d={self.taper_d})"
 
-    def taper_for(self, n: int) -> Taper:
-        return tukey_taper(n, self.taper_d if self.taper_d is not None else default_rise(n))
+
+def _plans(specs, n: int) -> list:
+    """The (taper, source) plan of each spec at length n; the source is None for the raw kinds.
+
+    Specs with the same rise length get one Taper object and the fitted
+    kinds without a source one AutoAIC, so the block kernel takes each
+    tapered DFT and each fit once.
+    """
+    tapers, fitted, plans = {}, AutoAIC(), []
+    for spec in specs:
+        d = spec.taper_d if spec.taper_d is not None else default_rise(n)
+        if spec.tapered and d not in tapers:
+            tapers[d] = tukey_taper(n, d)
+        if spec.source is None and spec.kind == "complete-true":
+            raise DomainError("complete-true estimator needs the generating AR model as source=Explicit(model)")
+        source = (spec.source or fitted) if spec.completed else None
+        plans.append((tapers[d] if spec.tapered else None, source))
+    return plans
 
 
-def _plan(spec: EstimatorSpec, n: int):
-    """The taper and the AR model source (None for the raw kinds) of a spec at length n."""
-    taper = spec.taper_for(n) if spec.tapered else None
-    if not spec.completed:
-        return taper, None
-    if spec.source is None and spec.kind == "complete-true":
-        raise DomainError("complete-true estimator needs the generating AR model as source=Explicit(model)")
-    return taper, spec.source if spec.source is not None else AutoAIC()
+def _estimate_block(plans, x: np.ndarray, grid: FrequencyGrid) -> list:
+    """Each (taper, source) plan's estimator on every row of x (rows, n).
 
+    One pass over the block: the plain DFT once, each distinct taper's DFT
+    once and each distinct source's completed DFT once, whatever the number
+    of estimators that use them.  Returns one (rows, |grid|) array per plan,
+    real for the raw kinds and complex for the completed ones; a plan's rows
+    do not depend on the other plans.
+    """
+    j = _dft_rows(x, grid)
+    shared = {}
 
-def _estimate_rows(spec: EstimatorSpec, x: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """The estimator on each row of x (rows, n): real values for the raw
-    kinds, complex ones for the completed kinds."""
-    taper, source = _plan(spec, x.shape[-1])
-    if source is None:
-        return _periodogram_rows(x, grid, taper)
-    return _complete_rows(x, source, grid, taper)[0]
+    def once(obj, make):
+        """make() for the first plan with this taper or source; equal hashable
+        sources share, and the array-holding ones (Explicit, TruncatedInfinite,
+        Taper) share by identity."""
+        try:
+            hash(obj)
+            key = obj
+        except TypeError:
+            key = id(obj)
+        if key not in shared:
+            shared[key] = make()
+        return shared[key]
+
+    out = []
+    for taper, source in plans:
+        jt = j if taper is None else once(taper, lambda: _dft_rows(x, grid, taper))
+        if source is None:
+            out.append(_periodogram_rows(jt, taper))
+        else:
+            completed = once(source, lambda: _completed_dft_rows(x, source, grid, j)[0])
+            out.append(_complete_rows(completed, jt))
+    return out
 
 
 def evaluate_estimator(ts: TimeSeries, spec: EstimatorSpec, grid: FrequencyGrid) -> PeriodogramEstimate:
     """Evaluate the described estimator on a series over a grid."""
-    taper, source = _plan(spec, ts.n)
+    [(taper, source)] = _plans([spec], ts.n)
     if source is None:
         return raw_periodogram(ts, grid, taper)
     return complete_periodogram(ts, source, grid, taper=taper)

@@ -138,16 +138,27 @@ def spectral_mean(
     return complex(np.mean(gw * vals))
 
 
-def _cosine_moments(vals: np.ndarray, freqs: np.ndarray, lags: int) -> np.ndarray:
-    """Grid means of cos(r*w) * vals for r = 0..lags, along the last axis."""
-    return vals @ np.cos(np.outer(freqs, np.arange(lags + 1))) / freqs.size
+def _cosine_table(freqs: np.ndarray, lags: int) -> np.ndarray:
+    """cos(r*w) on the grid (|grid|, lags + 1), for r = 0..lags."""
+    return np.cos(np.outer(freqs, np.arange(lags + 1)))
+
+
+def _cosine_moments(vals: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Grid means of cos(r*w) * vals along the last axis, from `_cosine_table`."""
+    return vals @ table / table.shape[0]
 
 
 def _smooth_rows(vals: np.ndarray, window: SpectralWindow) -> np.ndarray:
-    """Circular moving average sum_j W(j) * vals[..., (k + j) mod n] along the last axis."""
+    """Circular moving average sum_j W(j) * vals[..., (k + j) mod n] along the last axis.
+
+    Needs m <= n: the rows are padded circularly by m on each side once, and
+    each offset is a view of the padded rows.
+    """
+    m, n = window.m, vals.shape[-1]
+    padded = np.concatenate((vals[..., n - m :], vals, vals[..., :m]), axis=-1)
     out = np.zeros(vals.shape)
-    for offset, weight in zip(range(-window.m, window.m + 1), window.weights):
-        out += weight * np.roll(vals, -offset, axis=-1)
+    for i, weight in enumerate(window.weights):  # offset j = i - m
+        out += weight * padded[..., i : i + n]
     return out
 
 
@@ -172,7 +183,7 @@ def acf_estimate(
         raise DomainError("lag range must stay below the series length")
     grid = cfg.grid_for(ts.n)
     pg = evaluate_estimator(ts, estimator, grid)
-    autocov = _cosine_moments(_prepared_values(pg, cfg).real, grid.frequencies, lags)
+    autocov = _cosine_moments(_prepared_values(pg, cfg).real, _cosine_table(grid.frequencies, lags))
     if autocov[0] <= 0.0:
         raise NumericalError(
             "nonpositive variance estimate; use a thresholded estimate (set cfg.threshold)"

@@ -3,7 +3,7 @@
 Reproducibility contract: every replication b draws its innovations from a
 generator seeded with ``split_seed(seed, b)``, a SplitMix64-style 64-bit
 mix.  The runner simulates replications in blocks of a fixed size and
-evaluates each estimator on a whole block at once through the same row
+evaluates all estimators on a whole block in one pass, through the same row
 kernels the single-series functions use; per-replication outputs land in
 preallocated slots and are reduced in a fixed order, so the same spec gives
 bit-identical tables on every run.
@@ -19,9 +19,9 @@ import scipy.signal
 from .arfit import ArmaModel, arma_expand
 from .complete import Explicit
 from .core import FrequencyGrid, TimeSeries
-from .estimators import EstimatorSpec, _estimate_rows
+from .estimators import EstimatorSpec, _estimate_block, _plans
 from .exceptions import DomainError
-from .integrated import _cosine_moments, _smooth_rows, spectral_window
+from .integrated import _cosine_moments, _cosine_table, _smooth_rows, spectral_window
 
 __all__ = [
     "split_seed",
@@ -181,16 +181,22 @@ class MetricRow:
 
 @dataclass(frozen=True)
 class MetricTable:
+    """The rows of an experiment, its wall time, and that time's share per
+    stage: "simulate", "estimate", "reduce" (threshold, smooth or ACF) and
+    "summarize", in seconds."""
+
     mode: str
     rows: tuple
     runtime_seconds: float
+    stage_seconds: dict
 
 
 class _Prep:
     """Shared per-experiment state for evaluating blocks of replications.
 
-    `estimators` are the spec's, with the generating model substituted as
-    the source of every "complete-true" estimator.
+    `plans` are the (taper, source) plans of the spec's estimators, with the
+    generating model as the source of every "complete-true" estimator; the
+    smoothing window and the ACF cosine table are built once here too.
     """
 
     def __init__(self, spec: ExperimentSpec):
@@ -203,30 +209,34 @@ class _Prep:
             c = expansion.autocov.lags
             self.true_target = c[1 : spec.acf_lags + 1] / c[0]
             self.dim = spec.acf_lags
+            self.cosines = _cosine_table(self.grid.frequencies, spec.acf_lags)
         else:
             self.mode = "smoothed" if spec.smoothing is not None else "periodogram"
             self.grid = FrequencyGrid.fourier(n)
             self.true_target = spec.model.density(self.grid.frequencies)
             self.dim = n
-        self.estimators = spec.estimators
+            self.window = None if spec.smoothing is None else spectral_window(*spec.smoothing)
+        estimators = spec.estimators
         if any(est.kind == "complete-true" for est in spec.estimators):
             if spec.model.q != 0:
                 raise DomainError(
                     "complete-true estimator is undefined for models with a moving-average part"
                 )
             truth = Explicit(spec.model.pure_ar())
-            self.estimators = tuple(
-                replace(est, source=truth) if est.kind == "complete-true" else est
-                for est in spec.estimators
-            )
+            estimators = [replace(e, source=truth) if e.kind == "complete-true" else e for e in estimators]
+        self.plans = _plans(estimators, n)
 
-    def reduce(self, block: np.ndarray) -> np.ndarray:
-        """Per-replication metric inputs from a block of evaluated rows."""
+    def reduce(self, est: EstimatorSpec, block: np.ndarray) -> np.ndarray:
+        """Per-replication metric inputs from an estimator's block of evaluated
+        rows: the completed kinds floored at the threshold, then smoothed or
+        reduced to autocorrelations."""
+        if est.completed:
+            block = np.maximum(block.real, self.spec.threshold)
         if self.mode == "acf":
-            autocov = _cosine_moments(block, self.grid.frequencies, self.spec.acf_lags)
+            autocov = _cosine_moments(block, self.cosines)
             return autocov[:, 1:] / autocov[:, :1]
         if self.mode == "smoothed":
-            return _smooth_rows(block, spectral_window(*self.spec.smoothing))
+            return _smooth_rows(block, self.window)
         return block
 
 
@@ -280,11 +290,13 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> MetricTable:
     """Run the Monte Carlo experiment and summarize accuracy per estimator.
 
     Replications are simulated in blocks of a fixed size, each from its own
-    `split_seed` stream.  Every estimator is evaluated on the whole block,
-    the completed kinds are floored at the spec's threshold, and the rows
-    are smoothed or reduced to autocorrelations before they are summarized
-    in index order.  `threads` (>= 1) is accepted for compatibility and has
-    no effect: the table does not depend on it.
+    `split_seed` stream.  All estimators are evaluated on the whole block in
+    one pass that shares the DFTs and model fits they have in common, the
+    completed kinds are floored at the spec's threshold, and the rows are
+    smoothed or reduced to autocorrelations before they are summarized in
+    index order.  A row of the table does not depend on the other
+    estimators of the experiment.  `threads` (>= 1) is accepted for
+    compatibility and has no effect: the table does not depend on it.
     """
     if threads < 1:
         raise DomainError("threads must be >= 1")
@@ -292,14 +304,21 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> MetricTable:
     prep = _Prep(spec)  # validates estimator/model compatibility up front
     B = spec.replications
     slots = [np.empty((B, prep.dim)) for _ in spec.estimators]
+    stages = dict.fromkeys(("simulate", "estimate", "reduce", "summarize"), 0.0)
+
+    def timed(stage, fn):
+        t0 = time.perf_counter()
+        out = fn()
+        stages[stage] += time.perf_counter() - t0
+        return out
+
     for b0 in range(0, B, _BLOCK):
         b1 = min(b0 + _BLOCK, B)
-        x = _simulate_rows(spec.model, spec.n, [split_seed(spec.seed, b) for b in range(b0, b1)])
-        for slot, est in zip(slots, prep.estimators):
-            values = _estimate_rows(est, x, prep.grid)
-            if est.completed:
-                values = np.maximum(values.real, spec.threshold)
-            slot[b0:b1] = prep.reduce(values)
-    rows = _summarize(spec, prep, slots)
+        seeds = (split_seed(spec.seed, b) for b in range(b0, b1))  # derived within the simulate stage
+        x = timed("simulate", lambda: _simulate_rows(spec.model, spec.n, seeds))
+        block = timed("estimate", lambda: _estimate_block(prep.plans, x, prep.grid))
+        for slot, est, values in zip(slots, spec.estimators, block):
+            slot[b0:b1] = timed("reduce", lambda: prep.reduce(est, values))
+    rows = timed("summarize", lambda: _summarize(spec, prep, slots))
     runtime = time.perf_counter() - start
-    return MetricTable(mode=prep.mode, rows=rows, runtime_seconds=runtime)
+    return MetricTable(mode=prep.mode, rows=rows, runtime_seconds=runtime, stage_seconds=stages)

@@ -97,6 +97,17 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     # constant series: AIC selection cannot run on zero variance
     assert main(["periodogram", str(src), "--kind", "complete"]) == 3
     assert "numerical" in capsys.readouterr().err
+    # finite values whose squares overflow: numerical breakdown, not bad input
+    big = tmp_path / "big.csv"
+    _write_series(big, [1e300, -1e300] * 8)
+    for argv in (
+        ["periodogram", str(big)],
+        ["periodogram", str(big), "--kind", "tapered"],
+        ["acf", str(big), "--lags", "2"],
+        ["whittle", str(big), "--family", "ar:1", "--kind", "regular"],
+    ):
+        assert main(argv) == 3, argv
+        assert "numerical" in capsys.readouterr().err
 
 
 def test_smooth_command(tmp_path):

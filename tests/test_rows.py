@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predspec import (
+    ESTIMATOR_KINDS,
     ArmaModel,
     ArModel,
+    AutoAIC,
     EstimatorSpec,
     Explicit,
     FixedOrder,
@@ -15,7 +17,7 @@ from predspec import (
     evaluate_estimator,
 )
 from predspec.arfit import _aic_rows
-from predspec.estimators import _estimate_rows
+from predspec.estimators import _estimate_block, _plans
 from predspec.simulation import _simulate_rows
 
 
@@ -41,6 +43,18 @@ def _ar_block(draw, kmax):
     return a, x, grid
 
 
+def _assert_block_matches_single(specs, x, grid):
+    """Each spec's rows of one shared block pass equal `evaluate_estimator`
+    on each series bit for bit."""
+    block = _estimate_block(_plans(specs, x.shape[-1]), x, grid)
+    assert len(block) == len(specs)
+    for spec, values in zip(specs, block):
+        assert values.shape == (x.shape[0], grid.size)
+        for row, got in zip(x, values):
+            single = evaluate_estimator(TimeSeries(row), spec, grid).values
+            np.testing.assert_array_equal(got, single, err_msg=spec.label)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_ar_block(kmax=0.95))
 def test_block_rows_match_single_series(case):
@@ -56,12 +70,39 @@ def test_block_rows_match_single_series(case):
         EstimatorSpec("tapered-complete", taper_d=2),
         EstimatorSpec("complete", source=FixedOrder(2)),
     ]
-    for spec in specs:
-        block = _estimate_rows(spec, x, grid)
-        assert block.shape == (x.shape[0], grid.size)
-        for row, values in zip(x, block):
-            single = evaluate_estimator(TimeSeries(row), spec, grid).values
-            np.testing.assert_array_equal(values, single, err_msg=spec.label)
+    _assert_block_matches_single(specs, x, grid)
+
+
+@st.composite
+def _spec_lists(draw, a):
+    """1 to 6 specs of every kind, with repeated and distinct rise lengths,
+    and with default, AIC, fixed-order and explicit sources; explicit models
+    are drawn from one shared object, an equal copy of it and another model."""
+    truth = Explicit(ArModel(a, 1.0))
+    explicit = st.sampled_from([truth, Explicit(ArModel(a, 1.0)), Explicit(ArModel([0.5], 2.0))])
+    fitted = st.one_of(st.none(), st.just(AutoAIC(max_order=2)), st.builds(FixedOrder, st.integers(1, 3)),
+                       explicit)
+    specs = []
+    for kind in draw(st.lists(st.sampled_from(ESTIMATOR_KINDS), min_size=1, max_size=6)):
+        spec = EstimatorSpec(kind)
+        if spec.tapered:
+            spec = EstimatorSpec(kind, taper_d=draw(st.sampled_from([None, 1, 2])))
+        if kind == "complete-true":
+            spec = EstimatorSpec(kind, source=draw(explicit))
+        elif spec.completed:
+            spec = EstimatorSpec(kind, source=draw(fitted), taper_d=spec.taper_d)
+        specs.append(spec)
+    return specs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_shared_block_pass_matches_single_series(data):
+    """Whatever the mix of estimators sharing a block pass, each one's rows
+    equal `evaluate_estimator` bit for bit, so no sharing key merges two
+    different tapers or sources."""
+    a, x, grid = data.draw(_ar_block(kmax=0.95))
+    _assert_block_matches_single(data.draw(_spec_lists(a)), x[:12], grid)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

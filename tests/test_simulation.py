@@ -3,6 +3,7 @@ import pytest
 
 from predspec import (
     ArModel,
+    AutoAIC,
     DomainError,
     EstimatorSpec,
     ExperimentSpec,
@@ -177,6 +178,41 @@ def test_experiment_golden_tables(mode):
     assert [(r.imse, r.ibias, r.imse_se, r.ibias_se) for r in again.rows] == got
     for r1, r2 in zip(table.rows, again.rows):
         np.testing.assert_array_equal(r1.per_lag_mse, r2.per_lag_mse)
+
+
+def _row_fields(row):
+    return (row.estimator, row.imse, row.ibias, row.imse_se, row.ibias_se,
+            None if row.per_lag_mse is None else row.per_lag_mse.tolist(),
+            None if row.per_lag_bias is None else row.per_lag_bias.tolist())
+
+
+@pytest.mark.parametrize("mode", sorted(_GOLDEN_MODES))
+def test_experiment_row_independent_of_other_estimators(mode):
+    """Estimators of one experiment share DFTs, tapers and fits within each
+    block; every row must still equal the row of an experiment that runs its
+    estimator alone, bit for bit."""
+    estimators = _GOLDEN_ESTIMATORS + (
+        EstimatorSpec("tapered"),
+        EstimatorSpec("tapered-complete", taper_d=3),
+        EstimatorSpec("complete", source=AutoAIC(max_order=1)),
+        EstimatorSpec("tapered-complete", source=FixedOrder(1)),
+    )
+    base = dict(model=builtin_models("m1", 0.8), replications=40, seed=7, **_GOLDEN_MODES[mode])
+    table = run_experiment(ExperimentSpec(estimators=estimators, **base))
+    assert len(table.rows) == len(estimators)
+    for est, row in zip(estimators, table.rows):
+        alone = run_experiment(ExperimentSpec(estimators=(est,), **base))
+        assert _row_fields(row) == _row_fields(alone.rows[0])
+
+
+def test_experiment_stage_seconds():
+    spec = ExperimentSpec(model=builtin_models("m1", 0.8), replications=70,
+                          estimators=_GOLDEN_ESTIMATORS, seed=3, n=24, smoothing=("hann", 2))
+    table = run_experiment(spec)
+    stages = table.stage_seconds
+    assert list(stages) == ["simulate", "estimate", "reduce", "summarize"]
+    assert all(seconds >= 0.0 for seconds in stages.values())
+    assert sum(stages.values()) <= table.runtime_seconds
 
 
 def test_experiment_single_replication_degenerate():
