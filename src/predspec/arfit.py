@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.signal
 
-from .core import CovarianceSequence, FrequencyGrid, TimeSeries, _autocov_rows
+from .core import CovarianceSequence, FrequencyGrid, TimeSeries, _autocov_rows, _frozen_array, _integer
 from .exceptions import DomainError, NumericalError
 
 __all__ = [
@@ -65,9 +66,7 @@ class ArModel:
     sigma2: float
 
     def __post_init__(self):
-        a = np.array(self.coeffs, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(self, "coeffs", a)
+        a = _frozen_array(self, "coeffs", self.coeffs, float)
         if a.ndim != 1:
             raise DomainError("AR coefficients must be a 1-d array")
         if not np.all(np.isfinite(a)):
@@ -105,20 +104,15 @@ class ArmaModel:
 
     def __post_init__(self):
         for name in ("ar", "ma"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            arr = _frozen_array(self, name, getattr(self, name), float)
             if arr.ndim != 1 or not np.all(np.isfinite(arr)):
                 raise DomainError(f"{name} coefficients must be a finite 1-d array")
         if not (np.isfinite(self.sigma2) and self.sigma2 > 0.0):
             raise DomainError("innovation variance must be positive and finite")
         if self.ar.size and np.max(np.abs(_recursion_roots(self.ar))) >= _CAUSAL_RADIUS:
             raise DomainError("AR part is not causal")
-        if self.ma.size:
-            # roots of u**q * psi(1/u): inverses of the MA polynomial's zeros
-            inv = np.roots(np.concatenate(([1.0], self.ma)))
-            if inv.size and np.max(np.abs(inv)) > 1.0 + 1e-10:
-                raise DomainError("MA polynomial root strictly inside the unit circle")
+        if self.ma.size and np.max(np.abs(_recursion_roots(-self.ma))) > 1.0 + 1e-10:
+            raise DomainError("MA polynomial root strictly inside the unit circle")
 
     @property
     def p(self) -> int:
@@ -179,7 +173,7 @@ def _levinson_rows(c: np.ndarray, pmax: int):
 def levinson_durbin(cov: CovarianceSequence, p: int) -> ArModel:
     """Solve the order-p prediction equations from c(0..p) by the Levinson
     recursion; returns the fitted model with its innovation variance."""
-    if p < 0:
+    if _integer(p, "order") < 0:
         raise DomainError("order must be nonnegative")
     if cov.max_lag < p:
         raise DomainError(f"need lags 0..{p}, covariance holds 0..{cov.max_lag}")
@@ -190,7 +184,7 @@ def levinson_durbin(cov: CovarianceSequence, p: int) -> ArModel:
 def _yule_walker_rows(x: np.ndarray, p: int):
     """Levinson fits of orders 0..p to the sample autocovariances of each
     row of x (rows, n), assumed mean zero; see `_levinson_rows`."""
-    if p < 0 or p >= x.shape[-1]:
+    if _integer(p, "order") < 0 or p >= x.shape[-1]:
         raise DomainError("order must satisfy 0 <= p < n")
     c = _autocov_rows(x, p)
     if (c[:, 0] <= 0.0).any():
@@ -214,9 +208,7 @@ class OrderSelection:
     model: ArModel
 
     def __post_init__(self):
-        vals = np.array(self.aic_values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "aic_values", vals)
+        vals = _frozen_array(self, "aic_values", self.aic_values, float)
         if not 1 <= self.chosen_p <= self.k_n:
             raise DomainError("selected order must lie in 1..k_n")
         if vals.size != self.k_n:
@@ -236,7 +228,7 @@ def _aic_rows(x: np.ndarray, max_order: int | None = None):
     if max_order is None:
         k_n = min(max(int(n**0.4), 1), n - 2)
     else:
-        k_n = max_order
+        k_n = _integer(max_order, "max_order")
         if k_n < 1 or k_n >= n - 1:
             raise DomainError("max_order must satisfy 1 <= max_order <= n-2")
     coeffs, sigma2 = _yule_walker_rows(x, k_n)
@@ -291,70 +283,69 @@ class ArmaExpansion:
 
 _EXPAND_CAP = 5000
 _MA_TAIL_CAP = 200_000
+# Steps of the MA-weight filter per lfilter call.
+_MA_CHUNK = 4096
 
 
-def _series_quotient(num: np.ndarray, den: np.ndarray, count: int) -> np.ndarray:
-    """Coefficients 1..count of the power series num(z)/den(z), both monic."""
-    out = np.empty(count + 1)
-    out[0] = 1.0
-    for k in range(1, count + 1):
-        v = num[k] if k < num.size else 0.0
-        lo = max(0, k - (den.size - 1))
-        if lo < k:
-            v -= den[k - lo : 0 : -1] @ out[lo:k]
-        out[k] = v
-    return out[1:]
+def _polynomials(model: ArmaModel):
+    """Coefficients of phi(z) = 1 - sum ar_j z**j and psi(z) = 1 + sum ma_j z**j."""
+    return np.concatenate(([1.0], -model.ar)), np.concatenate(([1.0], model.ma))
 
 
 def _ma_weights(model: ArmaModel, tol: float = 1e-14) -> np.ndarray:
-    """MA-representation weights b_0=1, b_1, ... until the tail drops below tol."""
-    phi = np.concatenate(([1.0], -model.ar))
-    chi = [1.0]
-    k = 0
+    """MA-representation weights b_0=1, b_1, ... through the first run of
+    1+P+Q weights past b_0 that all fall below tol.
+
+    The weights are the impulse response of psi/phi, filtered chunk by chunk
+    with the filter state carried over, so only as many are computed as the
+    cut needs (at most _MA_TAIL_CAP past b_0).
+    """
+    phi, psi = _polynomials(model)
     window = 1 + model.p + model.q
-    while k < _MA_TAIL_CAP:
-        k += 1
-        v = model.ma[k - 1] if k <= model.q else 0.0
-        for i in range(1, min(k, model.p) + 1):
-            v += model.ar[i - 1] * chi[k - i]
-        chi.append(v)
-        if k >= window and max(abs(c) for c in chi[-window:]) < tol:
-            break
-    else:
-        raise NumericalError("MA-representation weights did not decay; model too close to the unit circle")
-    return np.asarray(chi)
+    x = np.zeros(_MA_CHUNK)
+    x[0] = 1.0
+    zi = np.zeros(max(model.p, model.q))
+    steps = np.arange(_MA_CHUNK)
+    chunks, run = [], 0  # run: trailing weights below tol so far
+    for start in range(0, _MA_TAIL_CAP + 1, _MA_CHUNK):
+        chunk, zi = scipy.signal.lfilter(psi, phi, x, zi=zi)
+        x[0] = 0.0
+        chunks.append(chunk)
+        # length of the run of small weights ending at each step of the chunk
+        runs = steps - np.maximum.accumulate(np.where(np.abs(chunk) < tol, -1 - run, steps))
+        hits = np.flatnonzero(runs >= window)
+        if hits.size and start + hits[0] <= _MA_TAIL_CAP:
+            return np.concatenate(chunks)[: start + hits[0] + 1]
+        run = int(runs[-1])
+    raise NumericalError("MA-representation weights did not decay; model too close to the unit circle")
+
+
+def _arma_autocov(model: ArmaModel, max_lag: int) -> np.ndarray:
+    """Autocovariances c(0..max_lag) of the model, sigma2 * sum_j b_j b_{j+r}
+    over its MA weights; only the AR part needs to be causal."""
+    b = _ma_weights(model)
+    return model.sigma2 * np.correlate(np.concatenate((b, np.zeros(max_lag))), b, "valid")
 
 
 def arma_expand(model: ArmaModel, M: int | None = None) -> ArmaExpansion:
     """AR series expansion plus autocovariances of an ARMA model.
 
-    M defaults to the smallest length whose trailing AR coefficients all fall
-    below 1e-12 (so sparse coefficient patterns are kept intact), capped at
-    5000.  The AR expansion requires the MA polynomial to have all roots
-    strictly outside the unit circle.
+    The AR coefficients are the impulse response of phi/psi.  M defaults to
+    the smallest length whose trailing AR coefficients all fall below 1e-12
+    (so sparse coefficient patterns are kept intact), capped at 5000.  The
+    AR expansion requires the MA polynomial to have all roots strictly
+    outside the unit circle.
     """
-    if model.q:
-        inv = np.roots(np.concatenate(([1.0], model.ma)))
-        if inv.size and np.max(np.abs(inv)) >= _CAUSAL_RADIUS:
-            raise DomainError("AR-series expansion requires a strictly invertible MA polynomial")
-    phi = np.concatenate(([1.0], -model.ar))  # coefficients of 1 - sum ar_j z^j
-    psi = np.concatenate(([1.0], model.ma))  # coefficients of 1 + sum ma_j z^j
-
+    if model.q and np.max(np.abs(_recursion_roots(-model.ma))) >= _CAUSAL_RADIUS:
+        raise DomainError("AR-series expansion requires a strictly invertible MA polynomial")
+    if M is not None and _integer(M, "expansion length") < 1:
+        raise DomainError("expansion length must be >= 1")
+    impulse = np.zeros((_EXPAND_CAP if M is None else M) + 1)
+    impulse[0] = 1.0
+    ar_inf = -scipy.signal.lfilter(*_polynomials(model), impulse)[1:]
     if M is None:
-        pi_full = _series_quotient(phi, psi, _EXPAND_CAP)
-        mags = np.abs(pi_full)
-        keep = np.nonzero(mags >= 1e-12)[0]
+        keep = np.nonzero(np.abs(ar_inf) >= 1e-12)[0]
         M = int(keep[-1]) + 1 if keep.size else 1
-        ar_inf = -pi_full[:M]
-    else:
-        if M < 1:
-            raise DomainError("expansion length must be >= 1")
-        ar_inf = -_series_quotient(phi, psi, M)
-
-    chi = _ma_weights(model)
-    pad = np.concatenate((chi, np.zeros(M)))
-    autocov = model.sigma2 * np.array(
-        [chi @ pad[r : r + chi.size] for r in range(M + 1)]
-    )
-    cov = CovarianceSequence(autocov, estimator="population")
+        ar_inf = ar_inf[:M]
+    cov = CovarianceSequence(_arma_autocov(model, M), estimator="population")
     return ArmaExpansion(ar_inf=ar_inf, autocov=cov, density=model.density)

@@ -26,6 +26,7 @@ from .core import (
     Taper,
     TimeSeries,
     _dft_rows,
+    _frozen_array,
     _phase_sums,
 )
 from .exceptions import DomainError, NumericalError
@@ -58,9 +59,7 @@ class TruncatedInfinite:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        c = _frozen_array(self, "coeffs", self.coeffs, float)
         if c.ndim != 1 or c.size < 1:
             raise DomainError("coefficient sequence must be a non-empty 1-d array")
         if not np.all(np.isfinite(c)):

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,14 @@ def _frozen_array(obj, attr: str, values, dtype) -> np.ndarray:
     return arr
 
 
+def _integer(value, name: str) -> int:
+    """`value` as an int, or DomainError when it is not an integer (e.g. 2.5 or 2.0)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """An observed real-valued series x[1..n] (stored 0-based).
@@ -72,13 +81,20 @@ class TimeSeries:
         return self.values.size
 
     def center(self) -> "TimeSeries":
-        """Return a copy with the sample mean removed."""
-        return TimeSeries(self.values - self.values.mean(), centered=True)
+        """Return a copy with the sample mean removed.
+
+        Raises NumericalError when the mean or the centred values overflow.
+        """
+        with np.errstate(over="ignore"):
+            centered = self.values - self.values.mean()
+        if not np.all(np.isfinite(centered)):
+            raise NumericalError("centring overflows: the series is too large")
+        return TimeSeries(centered, centered=True)
 
 
 def _lattice(M: int, kind: str) -> np.ndarray:
     """2*pi*k/M ("fourier") or 2*pi*(k + 0.5)/M ("uniform") for k = 0..M-1."""
-    if M < 1:
+    if _integer(M, f"{kind} grid size") < 1:
         raise DomainError(f"{kind} grid needs at least one frequency")
     return TWO_PI * (np.arange(M) + (0.5 if kind == "uniform" else 0.0)) / M
 
@@ -204,7 +220,7 @@ class Taper:
 
 def flat_taper(n: int) -> Taper:
     """The all-ones taper (tapered quantities degenerate to untapered ones)."""
-    if n < 1:
+    if _integer(n, "taper length") < 1:
         raise DomainError("taper length must be >= 1")
     return Taper(np.ones(n), h1=float(n), h2=float(n), description="flat")
 
@@ -216,6 +232,7 @@ def tukey_taper(n: int, d: int) -> Taper:
     d points mirror it; everything between is 1.  Weights are rescaled by
     n / h1 so they sum to n; h1, h2 are moments of the raw shape.
     """
+    n, d = _integer(n, "taper length"), _integer(d, "rise length d")
     if n < 1:
         raise DomainError("taper length must be >= 1")
     if d < 1 or 2 * d > n:
@@ -299,7 +316,7 @@ def sample_autocov(ts: TimeSeries, max_lag: int) -> CovarianceSequence:
     c(k) = n**-1 * sum_{t=1..n-k} x[t] * x[t+k] for k = 0..max_lag.  The
     series is used as given; remove the mean first if it is not known to be 0.
     """
-    if max_lag < 0:
+    if _integer(max_lag, "max_lag") < 0:
         raise DomainError("max_lag must be nonnegative")
     if max_lag >= ts.n:
         raise DomainError("lag exceeds sample")

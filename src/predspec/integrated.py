@@ -14,7 +14,7 @@ import numpy as np
 import scipy.optimize
 
 from .arfit import _ar_phases
-from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries
+from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries, _frozen_array, _integer
 from .complete import threshold_real
 from .estimators import EstimatorSpec, evaluate_estimator
 from .exceptions import DomainError, NumericalError
@@ -44,9 +44,7 @@ class SpectralWindow:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        w = _frozen_array(self, "weights", self.weights, float)
         if w.size != 2 * self.m + 1:
             raise DomainError("window must hold 2m+1 weights")
         if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-12:
@@ -60,6 +58,7 @@ def spectral_window(kind: str, m: int) -> SpectralWindow:
     Hann is 0.5*(1 - cos(pi*(j+m)/m)).  At m = 2 Bartlett and Hann coincide
     after normalization.
     """
+    m = _integer(m, "window half-width m")
     if m < 1:
         raise DomainError("window half-width m must be >= 1")
     j = np.arange(-m, m + 1, dtype=float)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import CovarianceSequence, FrequencyGrid, TimeSeries
+from .core import CovarianceSequence, FrequencyGrid, TimeSeries, _frozen_array
 from .exceptions import DomainError, NumericalError
 
 __all__ = [
@@ -34,9 +34,7 @@ class PredictorCoefficients:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        w = _frozen_array(self, "weights", self.weights, float)
         if w.ndim != 1 or w.size < 1:
             raise DomainError("predictor weights must be a non-empty 1-d array")
 

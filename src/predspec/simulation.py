@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.signal
 
-from .arfit import ArmaModel, arma_expand
+from .arfit import ArmaModel, _arma_autocov, _polynomials
 from .complete import Explicit
-from .core import FrequencyGrid, TimeSeries
+from .core import FrequencyGrid, TimeSeries, _integer
 from .estimators import EstimatorSpec, _estimate_block, _plans
 from .exceptions import DomainError
 from .integrated import _cosine_moments, _cosine_table, _smooth_rows, spectral_window
@@ -46,9 +46,9 @@ def split_seed(seed: int, index: int) -> int:
     constants are the standard ones, fixed here so any reimplementation can
     reproduce the same stream assignment.
     """
-    if index < 0:
+    if _integer(index, "replication index") < 0:
         raise DomainError("replication index must be nonnegative")
-    z = (int(seed) + (index + 1) * _GOLDEN) & _MASK64
+    z = (_integer(seed, "seed") + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
@@ -60,9 +60,8 @@ def _simulate_rows(model: ArmaModel, n: int, seeds) -> np.ndarray:
     eps = np.array([np.random.default_rng(seed).standard_normal(n + burn) for seed in seeds])
     if model.sigma2 != 1.0:
         eps *= np.sqrt(model.sigma2)
-    b = np.concatenate(([1.0], model.ma))
-    a = np.concatenate(([1.0], -model.ar))
-    return scipy.signal.lfilter(b, a, eps, axis=1)[:, burn:]
+    phi, psi = _polynomials(model)
+    return scipy.signal.lfilter(psi, phi, eps, axis=1)[:, burn:]
 
 
 def simulate_arma(model: ArmaModel, n: int, seed: int) -> TimeSeries:
@@ -73,6 +72,7 @@ def simulate_arma(model: ArmaModel, n: int, seed: int) -> TimeSeries:
     float precision for any model admissible under the causality margin.
     Identical (model, n, seed) inputs give bit-identical output.
     """
+    n, seed = _integer(n, "sample length"), _integer(seed, "seed")
     if n < 1:
         raise DomainError("sample length must be >= 1")
     if seed < 0:
@@ -129,6 +129,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        for name in ("n", "replications", "seed", "acf_lags", "acf_points"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n < 4:
             raise DomainError("experiments need n >= 4")
         if self.replications < 1:
@@ -146,8 +149,7 @@ class ExperimentSpec:
             raise DomainError("threshold must be positive")
         if self.smoothing is not None:
             kind, m = self.smoothing
-            spectral_window(kind, m)  # validates
-            object.__setattr__(self, "smoothing", (kind, int(m)))
+            object.__setattr__(self, "smoothing", (kind, spectral_window(kind, m).m))
             if 2 * self.smoothing[1] + 1 > self.n:
                 raise DomainError("window wider than the frequency grid")
             if self.acf_lags is not None:
@@ -205,9 +207,8 @@ class _Prep:
         if spec.acf_lags is not None:
             self.mode = "acf"
             self.grid = FrequencyGrid.uniform(spec.acf_points)
-            expansion = arma_expand(spec.model, M=max(spec.acf_lags, 1))
-            c = expansion.autocov.lags
-            self.true_target = c[1 : spec.acf_lags + 1] / c[0]
+            c = _arma_autocov(spec.model, spec.acf_lags)
+            self.true_target = c[1:] / c[0]
             self.dim = spec.acf_lags
             self.cosines = _cosine_table(self.grid.frequencies, spec.acf_lags)
         else:

@@ -15,6 +15,7 @@ from .arfit import ArmaModel, arma_expand
 from .complete import predictive_dft_matrix
 from .core import FrequencyGrid, TimeSeries, tukey_taper
 from .estimators import default_rise
+from .exceptions import DomainError
 from .oracle import (
     expected_quadratic,
     fejer_expected_periodogram,
@@ -132,4 +133,4 @@ def run_suite(which: str = "all") -> list:
         return oracle_report()
     if which == "all":
         return unbiasedness_report() + oracle_report()
-    raise ValueError(f"unknown verify suite {which!r}")
+    raise DomainError(f"unknown verify suite {which!r}")

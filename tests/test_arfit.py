@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predspec import (
     ArmaModel,
@@ -13,11 +15,17 @@ from predspec import (
     aic_select,
     ar_spectral,
     arma_expand,
+    EstimatorSpec,
+    ExperimentSpec,
     builtin_models,
     levinson_durbin,
+    run_experiment,
     simulate_arma,
     yule_walker_fit,
 )
+from predspec import arfit
+from predspec.arfit import _ma_weights
+from predspec.simulation import _Prep
 
 
 def test_armodel_rejects_noncausal():
@@ -238,3 +246,124 @@ def test_pure_ar_conversion():
     np.testing.assert_allclose(ar.coeffs, [0.0, -0.81])
     with pytest.raises(DomainError):
         builtin_models("m2").pure_ar()
+
+
+# Reference: the power-series recursions `arma_expand` ran before it took both
+# series from `scipy.signal.lfilter`, kept to check the filter against.
+def _series_quotient(num, den, count):
+    """Coefficients 1..count of the power series num(z)/den(z), both monic."""
+    out = np.empty(count + 1)
+    out[0] = 1.0
+    for k in range(1, count + 1):
+        v = num[k] if k < num.size else 0.0
+        lo = max(0, k - (den.size - 1))
+        if lo < k:
+            v -= den[k - lo : 0 : -1] @ out[lo:k]
+        out[k] = v
+    return out[1:]
+
+
+def _reference_ma_weights(model, tol=1e-14, cap=200_000):
+    chi = [1.0]
+    k = 0
+    window = 1 + model.p + model.q
+    while k < cap:
+        k += 1
+        v = model.ma[k - 1] if k <= model.q else 0.0
+        for i in range(1, min(k, model.p) + 1):
+            v += model.ar[i - 1] * chi[k - i]
+        chi.append(v)
+        if k >= window and max(abs(c) for c in chi[-window:]) < tol:
+            return np.asarray(chi)
+    raise NumericalError("MA-representation weights did not decay")
+
+
+def _reference_expand(model, M=None):
+    phi = np.concatenate(([1.0], -model.ar))
+    psi = np.concatenate(([1.0], model.ma))
+    if M is None:
+        pi_full = _series_quotient(phi, psi, 5000)
+        keep = np.nonzero(np.abs(pi_full) >= 1e-12)[0]
+        M = int(keep[-1]) + 1 if keep.size else 1
+        ar_inf = -pi_full[:M]
+    else:
+        ar_inf = -_series_quotient(phi, psi, M)
+    chi = _reference_ma_weights(model)
+    pad = np.concatenate((chi, np.zeros(M)))
+    autocov = model.sigma2 * np.array([chi @ pad[r : r + chi.size] for r in range(M + 1)])
+    return ar_inf, chi, autocov
+
+
+@st.composite
+def _inverse_roots(draw, max_degree):
+    """Monic polynomial coefficients [1, c_1, .., c_d] of prod (u - r) over
+    inverse roots of modulus <= 0.99, spread to z**stride (a sparse pattern
+    with every second, third or fourth lag zero) when stride > 1."""
+    stride = draw(st.sampled_from([1, 1, 2, 3, 4]))
+    bound = 0.99 ** stride  # roots of the spread polynomial stay within 0.99
+    degree = draw(st.integers(0, max_degree // stride))
+    roots = []
+    while len(roots) < degree:
+        rho = draw(st.floats(0.0, bound))
+        if degree - len(roots) >= 2 and draw(st.booleans()):
+            angle = draw(st.floats(0.0, np.pi))
+            roots += [rho * np.exp(1j * angle), rho * np.exp(-1j * angle)]
+        else:
+            roots.append(rho * draw(st.sampled_from([1.0, -1.0])))
+    base = np.poly(roots).real if roots else np.ones(1)
+    spread = np.zeros(degree * stride + 1)
+    spread[::stride] = base
+    return spread
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ar=_inverse_roots(4), ma=_inverse_roots(3), sigma2=st.floats(0.1, 10.0), M=st.integers(1, 60))
+def test_arma_expand_matches_reference_recursions(ar, ma, sigma2, M):
+    model = ArmaModel(-ar[1:], ma[1:], sigma2)
+    ar_inf, chi, autocov = _reference_expand(model)
+    e = arma_expand(model)
+    assert e.ar_inf.size == ar_inf.size  # the same cut at 1e-12
+    np.testing.assert_allclose(e.ar_inf, ar_inf, rtol=1e-12, atol=1e-12 * np.abs(ar_inf).max())
+    weights = _ma_weights(model)
+    assert weights.size == chi.size  # the same cut at 1e-14
+    np.testing.assert_allclose(weights, chi, rtol=1e-12, atol=1e-12 * np.abs(chi).max())
+    np.testing.assert_allclose(e.autocov.lags, autocov, rtol=1e-12, atol=1e-12 * autocov[0])
+    fixed = arma_expand(model, M=M)
+    ar_inf, _, autocov = _reference_expand(model, M)
+    np.testing.assert_allclose(fixed.ar_inf, ar_inf, rtol=1e-12, atol=1e-12 * np.abs(ar_inf).max())
+    np.testing.assert_allclose(fixed.autocov.lags, autocov, rtol=1e-12, atol=1e-12 * autocov[0])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+def test_ma_weights_independent_of_chunk_length(monkeypatch, chunk):
+    # the run of small weights that ends the filter may straddle chunks
+    models = [builtin_models("m2"), builtin_models("m1", 0.9), ArmaModel([0.0, 0.0, 0.5], [0.0, 0.3], 2.0),
+              ArmaModel([0.995], [], 1.0), ArmaModel([], [0.4], 1.0), ArmaModel([], [], 1.0)]
+    whole = [_ma_weights(m) for m in models]
+    monkeypatch.setattr(arfit, "_MA_CHUNK", chunk)
+    for model, weights in zip(models, whole):
+        np.testing.assert_array_equal(_ma_weights(model), weights)
+        reference = _reference_ma_weights(model)
+        assert weights.size == reference.size
+        np.testing.assert_allclose(weights, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max())
+
+
+def test_arma_expand_weight_cap():
+    # 0.9999**k falls below 1e-14 only past k = 322000, beyond the weight cap
+    with pytest.raises(NumericalError):
+        arma_expand(ArmaModel([0.9999], [], 1.0), M=5)
+
+
+def test_acf_experiment_on_unit_circle_ma():
+    # the MA root on the unit circle rules out the AR expansion, not the
+    # autocovariances an ACF experiment is judged against
+    model = ArmaModel([0.5], [1.0], 1.0)
+    with pytest.raises(DomainError):
+        arma_expand(model)
+    spec = ExperimentSpec(model, n=20, replications=4, estimators=(EstimatorSpec("regular"),),
+                          seed=3, acf_lags=3)
+    # rho(1) = (1 + ar*ma) * (ar + ma) / (1 + 2*ar*ma + ma**2) = 0.75, then halving
+    np.testing.assert_allclose(_Prep(spec).true_target, [0.75, 0.375, 0.1875], rtol=1e-12)
+    table = run_experiment(spec)
+    assert table.mode == "acf"
+    assert np.isfinite(table.rows[0].imse)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,14 @@ def test_numerical_error_exit_code(tmp_path, capsys):
         ["whittle", str(big), "--family", "ar:1", "--kind", "regular"],
     ):
         assert main(argv) == 3, argv
+        assert "numerical" in capsys.readouterr().err
+    # finite values whose mean (or centred values) overflow while centring
+    for values in ([1.7e308] * 16, [1.7e308, -1.7e308, -1.7e308] * 5):
+        huge = tmp_path / "huge.csv"
+        _write_series(huge, values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["periodogram", str(huge)]) == 3, values
         assert "numerical" in capsys.readouterr().err
 
 

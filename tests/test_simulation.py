@@ -4,18 +4,29 @@ import pytest
 from predspec import (
     ArModel,
     AutoAIC,
+    CovarianceSequence,
     DomainError,
     EstimatorSpec,
     ExperimentSpec,
     Explicit,
     FixedOrder,
     FrequencyGrid,
+    TimeSeries,
+    aic_select,
+    arma_expand,
     builtin_models,
+    flat_taper,
+    levinson_durbin,
     raw_periodogram,
     run_experiment,
+    sample_autocov,
     simulate_arma,
+    spectral_window,
     split_seed,
+    tukey_taper,
+    yule_walker_fit,
 )
+from predspec.verify import run_suite
 
 
 def test_split_seed_frozen_values():
@@ -86,6 +97,59 @@ def test_experiment_spec_validation():
                        smoothing=("daniell", 3))
     ExperimentSpec(model=m, n=7, replications=10, estimators=est, seed=1,
                    smoothing=("daniell", 3))  # exactly as wide as the grid
+
+
+_M1 = builtin_models("m1", 0.7)
+_SPEC = dict(model=_M1, n=20, replications=10, estimators=(EstimatorSpec("regular"),), seed=1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: spectral_window("hann", 2.5),
+        lambda: spectral_window("daniell", np.float64(2.0)),
+        lambda: ExperimentSpec(**{**_SPEC, "smoothing": ("hann", 2.5)}),
+        lambda: ExperimentSpec(**{**_SPEC, "seed": 1.5}),
+        lambda: ExperimentSpec(**{**_SPEC, "n": 20.0}),
+        lambda: ExperimentSpec(**{**_SPEC, "replications": 10.5}),
+        lambda: ExperimentSpec(**{**_SPEC, "acf_lags": 3.0}),
+        lambda: ExperimentSpec(**{**_SPEC, "acf_lags": 3, "acf_points": 100.0}),
+        lambda: simulate_arma(_M1, 10, 1.5),
+        lambda: simulate_arma(_M1, 10.0, 1),
+        lambda: split_seed(1.5, 0),
+        lambda: split_seed(1, 0.0),
+        lambda: arma_expand(_M1, M=3.0),
+        lambda: FrequencyGrid.fourier(8.0),
+        lambda: FrequencyGrid.uniform(8.5),
+        lambda: flat_taper(2.5),
+        lambda: tukey_taper(20, 2.5),
+        lambda: sample_autocov(TimeSeries(np.ones(8)), 2.0),
+        lambda: levinson_durbin(CovarianceSequence([1.0, 0.5]), 1.0),
+        lambda: yule_walker_fit(TimeSeries(np.sin(np.arange(8.0))), 1.5),
+        lambda: aic_select(TimeSeries(np.sin(np.arange(20.0))), max_order=2.5),
+    ],
+    ids=["window-m", "window-m-float64", "smoothing-m", "seed", "n", "replications",
+         "acf-lags", "acf-points", "simulate-seed", "simulate-n", "split-seed", "split-index",
+         "expand-M", "fourier-size", "uniform-size", "flat-taper-n", "tukey-d", "autocov-lag",
+         "levinson-order", "yule-walker-order", "aic-max-order"],
+)
+def test_non_integer_parameters_rejected(call):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()
+
+
+def test_integer_like_parameters_accepted():
+    spec = ExperimentSpec(**{**_SPEC, "n": np.int64(20), "seed": np.uint64(1),
+                             "smoothing": ("hann", np.int32(2))})
+    assert type(spec.n) is int and type(spec.seed) is int and spec.smoothing == ("hann", 2)
+    assert spectral_window("hann", np.int64(2)).m == 2
+    np.testing.assert_array_equal(simulate_arma(_M1, np.int64(10), np.int64(1)).values,
+                                  simulate_arma(_M1, 10, 1).values)
+
+
+def test_verify_unknown_suite_is_domain_error():
+    with pytest.raises(DomainError, match="unknown verify suite"):
+        run_suite("bogus")
 
 
 def test_experiment_thread_count_invariance():

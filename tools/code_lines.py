@@ -1,0 +1,60 @@
+"""Count the code lines of each module of the predspec package.
+
+A code line is a physical line that holds part of a statement: blank lines,
+comment-only lines and docstrings (the leading string of a module, class or
+function body) are left out.  Lines inside other multi-line strings count.
+
+Usage: python tools/code_lines.py [package-dir]   (default: src/predspec)
+"""
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+_NON_CODE = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENCODING,
+    tokenize.ENDMARKER,
+}
+
+
+def _docstring_lines(tree: ast.AST) -> set:
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                if isinstance(body[0].value.value, str):
+                    lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines in one module's source text."""
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NON_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - _docstring_lines(ast.parse(source)))
+
+
+def main(argv: list) -> int:
+    root = Path(argv[1] if len(argv) > 1 else "src/predspec")
+    total = 0
+    for path in sorted(root.glob("*.py")):
+        count = code_lines(path.read_text())
+        total += count
+        print(f"{count:6d}  {path.name}")
+    print(f"{total:6d}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
