@@ -47,11 +47,13 @@ def _frozen_array(obj, attr: str, values, dtype) -> np.ndarray:
 
 
 def _integer(value, name: str) -> int:
-    """`value` as an int, or DomainError when it is not an integer (e.g. 2.5 or 2.0)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    """`value` as an int, or DomainError when it is not an integer (e.g. 2.5, 2.0 or True)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

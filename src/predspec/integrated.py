@@ -11,7 +11,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
-import scipy.optimize
 
 from .arfit import _ar_phases
 from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries, _frozen_array, _integer
@@ -80,6 +79,7 @@ class RiemannIntegral:
     points: int = 500
 
     def __post_init__(self):
+        object.__setattr__(self, "points", _integer(self.points, "Riemann cell count"))
         if self.points < 8:
             raise DomainError("Riemann rule needs at least 8 cells")
 
@@ -176,7 +176,7 @@ def acf_estimate(
     Riemann rule approximates the plain biased ones.  Thresholding (set it
     in `cfg` for completed kinds) guarantees a positive c(0).
     """
-    if lags < 0:
+    if _integer(lags, "lag count") < 0:
         raise DomainError("lag count must be nonnegative")
     if lags >= ts.n:
         raise DomainError("lag range must stay below the series length")
@@ -250,6 +250,7 @@ def ar_family(p: int, limit: float = 0.99) -> SpectralFamily:
     contraction 1 - theta . table, the same bits as the AR transfer
     polynomial.
     """
+    p = _integer(p, "family order")
     if p < 1:
         raise DomainError("family order must be >= 1")
 
@@ -273,6 +274,110 @@ class WhittleResult:
     converged: bool
 
 
+class _BudgetSpent(Exception):
+    """A simplex step asked for an evaluation past the budget."""
+
+
+def _simplex(fun, x0, box, maxfev: int):
+    """Bounded Nelder-Mead minimization of `fun` from `x0`: (x, fun(x), converged).
+
+    Follows scipy.optimize's non-adaptive bounded Nelder-Mead step for step,
+    so it returns the same bits: the same initial simplex, vertex arithmetic,
+    clipping to the (lo, hi) pairs of `box`, `np.argsort` order and budget
+    rule (an evaluation past `maxfev` aborts the step, and the vertices are
+    still re-sorted).  The simplex is an (n+1, n) array, reduced by numpy as
+    scipy does; a new vertex is computed on Python floats, which is faster
+    for the few coordinates of a spectral family.  `fun` takes a fresh float
+    array and returns a float.  Convergence is every vertex within 1e-8 of
+    the best one and every value within 1e-12 of its value, before the
+    budget ends.
+    """
+    box = [(float(lo), float(hi)) for lo, hi in box]
+    n = len(box)
+    calls = 0
+
+    def clip(x):  # np.clip's comparisons, NaN passing through
+        out = []
+        for v, (lo, hi) in zip(x, box):
+            if v == v:
+                v = v if v > lo else lo
+                v = v if v < hi else hi
+            out.append(v)
+        return out
+
+    def evaluate(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return fun(np.array(x))
+
+    def by_value(sim, fsim):  # scipy's np.argsort order, which need not be stable
+        order = np.array(fsim).argsort()
+        return sim.take(order, 0), [fsim[i] for i in order.tolist()]
+
+    start = clip([float(v) for v in x0])
+    sim = [start]
+    for k in range(n):
+        y = list(start)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    # a vertex pushed past an upper bound is reflected back into the box
+    sim = np.array([clip([2 * hi - v if v > hi else v for v, (_, hi) in zip(y, box)]) for y in sim])
+    fsim = [np.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = evaluate(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = by_value(*by_value(sim, fsim))  # scipy sorts twice here
+
+    converged = False
+    while calls < maxfev:
+        try:
+            # scipy's test, with its two pure halves swapped: the cheap one,
+            # on values, fails first on almost every step
+            if all(abs(fsim[0] - g) <= 1e-12 for g in fsim[1:]) and (
+                np.abs(sim[1:] - sim[0]).max() <= 1e-8
+            ):
+                converged = True
+                break
+            xbar = (np.add.reduce(sim[:-1], 0) / n).tolist()
+            worst = sim[-1].tolist()
+
+            def toward(p, q):  # p*xbar + q*worst, clipped
+                return clip([p * c + q * v for c, v in zip(xbar, worst)])
+
+            xr = toward(2, -1)
+            fxr = evaluate(xr)
+            if fxr < fsim[0]:  # reflected to a new best: try expanding
+                xe = toward(3, -2)
+                fxe = evaluate(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # contract outside; keep unless worse than xr
+                    xc = toward(1.5, -0.5)
+                    fxc = evaluate(xc)
+                    keep = fxc <= fxr
+                else:  # contract inside; keep if better than the worst vertex
+                    xc = toward(0.5, 0.5)
+                    fxc = evaluate(xc)
+                    keep = fxc < fsim[-1]
+                if keep:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink toward the best vertex
+                    best = sim[0].tolist()
+                    for j in range(1, n + 1):
+                        sim[j] = clip([b + 0.5 * (v - b) for v, b in zip(sim[j].tolist(), best)])
+                        fsim[j] = evaluate(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = by_value(sim, fsim)
+    return sim[0].copy(), float(np.min(fsim)), converged
+
+
 def whittle_fit(
     ts: TimeSeries,
     family: SpectralFamily,
@@ -286,13 +391,20 @@ def whittle_fit(
     log f_theta (the latter approximating (2*pi)**-1 * integral log f_theta).
     The family is bound to the quadrature grid once per fit, through
     `family.on_grid`; a bound density whose shape is not the grid's raises
-    DomainError.  Derivative-free simplex search with restarts on stalls;
-    convergence is a simplex diameter below 1e-8 within a budget of 500*dim
-    evaluations.  Non-convergence flags the result instead of raising.
+    DomainError, and so does a family of dimension n or more for a length-n
+    series.  The search is predspec's own bounded Nelder-Mead simplex, which
+    follows scipy.optimize's steps exactly; convergence is a simplex
+    diameter below 1e-8 within a budget of 500*dim evaluations.
+    Non-convergence flags the result instead of raising.
     """
     if cfg is None:
         cfg = SpectralMeanConfig()
-    theta0 = np.asarray(init, dtype=float)
+    if family.dim >= ts.n:
+        raise DomainError("the family dimension must stay below the series length")
+    try:
+        theta0 = np.asarray(init, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"init must be a sequence of numbers, got {init!r}") from None
     if theta0.ndim != 1 or theta0.size != family.dim:
         raise DomainError("init length must match the family dimension")
     for val, (lo, hi) in zip(theta0, family.bounds):
@@ -310,7 +422,7 @@ def whittle_fit(
         f = np.asarray(density(theta), dtype=float)
         if f.shape != w.shape:
             raise DomainError("the family density must evaluate elementwise on the frequency array")
-        if np.isfinite(f).all() and (f > 0.0).all():
+        if 0.0 < f.min() and f.max() < np.inf:
             # sum/size is np.mean's arithmetic without its dispatch overhead
             value = float((vals / f).sum() / f.size + np.log(f).sum() / f.size)
         else:
@@ -318,34 +430,11 @@ def whittle_fit(
         trace.append((theta.copy(), value))
         return value
 
-    if not np.isfinite(objective(theta0)):
+    start = objective(theta0)
+    if not np.isfinite(start):
         raise DomainError("objective is not finite at the initial point")
-
-    budget = 500 * family.dim
-    best_x, best_val = theta0, trace[-1][1]
-    converged = False
-    while len(trace) < budget:
-        res = scipy.optimize.minimize(
-            objective,
-            best_x,
-            method="Nelder-Mead",
-            bounds=family.bounds,
-            options={
-                "xatol": 1e-8,
-                "fatol": 1e-12,
-                "maxfev": budget - len(trace),
-                "initial_simplex": None,
-            },
-        )
-        if res.fun <= best_val:
-            best_x, best_val = np.asarray(res.x, dtype=float), float(res.fun)
-        if res.status == 0:
-            converged = True
-            break
-        # stalled on the evaluation budget of this inner run: restart from the
-        # incumbent with a fresh simplex unless the overall budget is spent
-        if len(trace) >= budget:
-            break
-    return WhittleResult(
-        theta=best_x, value=best_val, trace=tuple(trace), converged=converged
-    )
+    # the start point's evaluation above counts against the budget
+    theta, value, converged = _simplex(objective, theta0, family.bounds, 500 * family.dim - 1)
+    if not value <= start:  # a NaN objective value in the final simplex
+        theta, value = theta0, start
+    return WhittleResult(theta=theta, value=value, trace=tuple(trace), converged=converged)

@@ -83,6 +83,8 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["simulate", "--model", "m1:abc", "--n", "5", "--seed", "1"],
         ["whittle", str(good), "--family", "ar:two"],
         ["whittle", str(good), "--family", "ar:2", "--init", "0.1,x"],
+        # as many parameters as values: rejected before any table is built
+        ["whittle", str(good), "--family", "ar:32"],
         # flags the chosen kind cannot use are bad input, not silently ignored
         ["periodogram", str(good), "--kind", "regular", "--order", "3", "--taper-d", "99"],
         ["periodogram", str(good), "--kind", "complete", "--taper-d", "3"],

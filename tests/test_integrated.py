@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,7 @@ from predspec import (
     whittle_fit,
 )
 from predspec.arfit import _transfer_polynomial
+from predspec.integrated import _simplex
 
 
 # ------------------------------------------------------------------ windows
@@ -271,6 +273,18 @@ def test_whittle_init_must_be_inside_box():
         whittle_fit(ts, ar_family(1), EstimatorSpec("regular"), [1.5])
 
 
+def test_whittle_family_dimension_below_series_length():
+    def unbound(w):
+        raise AssertionError("the family must not be bound to a grid")
+
+    ts = simulate_arma(_ar1(0.5), 3, 1)
+    for dim in (3, 4, 100_000):
+        family = SpectralFamily(on_grid=unbound, bounds=((-1.0, 1.0),) * dim)
+        with pytest.raises(DomainError, match="below the series length"):
+            whittle_fit(ts, family, EstimatorSpec("complete"), [0.0] * dim)
+    assert whittle_fit(ts, ar_family(2), EstimatorSpec("regular"), [0.0, 0.0]).theta.size == 2
+
+
 def _flat_family(shape):
     """A one-parameter family whose bound density has the given shape."""
     return SpectralFamily(
@@ -419,6 +433,74 @@ def test_whittle_trace_matches_mean_formula(p, n, seed, mode, kind):
         else:
             want = np.inf
         assert value == want
+
+
+def _search_objective(kind, center, scale):
+    """Smooth, non-smooth, plateau (many tied values) or +inf-region objectives."""
+    c, s = np.array(center), np.array(scale)
+    if kind == "smooth":
+        return lambda x: float(np.sum(s * (x - c) ** 2))
+    if kind == "kink":
+        return lambda x: float(np.sum(s * np.abs(x - c)) + np.max(np.abs(x)))
+    if kind == "plateau":
+        return lambda x: float(np.floor(2.0 * np.sum(s * (x - c) ** 2)))
+    return lambda x: float(np.sum(s * (x - c) ** 2)) if x[0] <= c[0] + 0.3 else np.inf
+
+
+@st.composite
+def _search_problems(draw):
+    dim = draw(st.integers(1, 4))
+    box, x0 = [], []
+    for _ in range(dim):
+        end = st.floats(-5.0, 5.0)
+        kind = draw(st.sampled_from(["finite", "lower", "upper", "free"]))
+        lo = draw(end) if kind in ("finite", "lower") else -np.inf
+        hi = lo + draw(st.floats(1e-3, 8.0)) if kind == "finite" else np.inf
+        if kind == "upper":
+            hi = draw(end)
+        start = draw(st.sampled_from(["inside", "zero", "upper"]))
+        if start == "upper" and hi < np.inf:
+            x0.append(hi)
+        elif start == "zero" and lo <= 0.0 <= hi:
+            x0.append(0.0)
+        else:
+            x0.append(float(np.clip(draw(end), lo, hi)))
+        box.append((lo, hi))
+    kind = draw(st.sampled_from(["smooth", "kink", "plateau", "inf-region"]))
+    center = draw(st.lists(st.floats(-4.0, 4.0), min_size=dim, max_size=dim))
+    scale = draw(st.lists(st.floats(0.1, 10.0), min_size=dim, max_size=dim))
+    return box, x0, _search_objective(kind, center, scale), draw(st.integers(1, 2000))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_search_problems())
+def test_simplex_matches_scipy_nelder_mead(problem):
+    """`_simplex` evaluates the same points as scipy's bounded Nelder-Mead,
+    in the same order, and returns the same point, value and convergence."""
+    box, x0, fun, maxfev = problem
+    ours, theirs = [], []
+
+    def recorded(calls):
+        def f(x):
+            calls.append(x.tolist())
+            return fun(x)
+        return f
+
+    x, value, converged = _simplex(recorded(ours), x0, box, maxfev)
+    # scipy's own convergence test subtracts +inf from +inf when the best
+    # vertex is infeasible
+    with np.errstate(invalid="ignore"):
+        res = scipy.optimize.minimize(
+            recorded(theirs),
+            x0,
+            method="Nelder-Mead",
+            bounds=box,
+            options={"xatol": 1e-8, "fatol": 1e-12, "maxfev": maxfev},
+        )
+    assert ours == theirs
+    assert x.tolist() == res.x.tolist()
+    assert value == res.fun
+    assert converged == (res.status == 0)
 
 
 def test_ar_family_unit_variance_log_mean_vanishes():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,8 +16,12 @@ from predspec import (
     Explicit,
     FixedOrder,
     FrequencyGrid,
+    RiemannIntegral,
+    SpectralMeanConfig,
     TimeSeries,
+    acf_estimate,
     aic_select,
+    ar_family,
     arma_expand,
     builtin_models,
     flat_taper,
@@ -24,6 +33,7 @@ from predspec import (
     spectral_window,
     split_seed,
     tukey_taper,
+    whittle_fit,
     yule_walker_fit,
 )
 from predspec.verify import run_suite
@@ -100,6 +110,7 @@ def test_experiment_spec_validation():
 
 
 _M1 = builtin_models("m1", 0.7)
+_TS = TimeSeries(np.sin(np.arange(20.0)))
 _SPEC = dict(model=_M1, n=20, replications=10, estimators=(EstimatorSpec("regular"),), seed=1)
 
 
@@ -127,14 +138,23 @@ _SPEC = dict(model=_M1, n=20, replications=10, estimators=(EstimatorSpec("regula
         lambda: levinson_durbin(CovarianceSequence([1.0, 0.5]), 1.0),
         lambda: yule_walker_fit(TimeSeries(np.sin(np.arange(8.0))), 1.5),
         lambda: aic_select(TimeSeries(np.sin(np.arange(20.0))), max_order=2.5),
+        lambda: acf_estimate(_TS, 2.5, EstimatorSpec("regular"), SpectralMeanConfig()),
+        lambda: acf_estimate(_TS, True, EstimatorSpec("regular"), SpectralMeanConfig()),
+        lambda: ar_family(2.0),
+        lambda: ar_family(2.5),
+        lambda: RiemannIntegral(points=8.5),
+        lambda: RiemannIntegral("x"),
+        lambda: whittle_fit(_TS, ar_family(1), EstimatorSpec("regular"), ["a"]),
     ],
     ids=["window-m", "window-m-float64", "smoothing-m", "seed", "n", "replications",
          "acf-lags", "acf-points", "simulate-seed", "simulate-n", "split-seed", "split-index",
          "expand-M", "fourier-size", "uniform-size", "flat-taper-n", "tukey-d", "autocov-lag",
-         "levinson-order", "yule-walker-order", "aic-max-order"],
+         "levinson-order", "yule-walker-order", "aic-max-order", "acf-lags-float", "acf-lags-bool",
+         "family-order-2.0", "family-order-2.5", "riemann-points", "riemann-points-str",
+         "whittle-init-str"],
 )
 def test_non_integer_parameters_rejected(call):
-    with pytest.raises(DomainError, match="must be an integer"):
+    with pytest.raises(DomainError, match="must be an integer|must be a sequence of numbers"):
         call()
 
 
@@ -180,6 +200,45 @@ def test_experiment_thread_count_invariance():
             if "acf_lags" in mode:
                 np.testing.assert_array_equal(r1.per_lag_mse, r4.per_lag_mse)
                 np.testing.assert_array_equal(r1.per_lag_bias, r4.per_lag_bias)
+
+
+# One experiment table and three AR(3) Whittle fits, hashed.  The fits'
+# objective contracts a complex phase table with np.inner, the one BLAS call
+# left in their search.
+_BLAS_SCRIPT = """
+import hashlib
+import numpy as np
+import predspec as ps
+
+E = ps.EstimatorSpec
+table = ps.run_experiment(ps.ExperimentSpec(
+    model=ps.builtin_models("m1", 0.7), n=300, replications=64, seed=11,
+    estimators=(E("regular"), E("complete-true"), E("complete"), E("tapered-complete"))))
+digest = hashlib.sha256()
+for row in table.rows:
+    digest.update(np.array([row.imse, row.ibias, row.imse_se, row.ibias_se]).tobytes())
+for seed, n in ((1, 200), (2, 333), (3, 480)):
+    ts = ps.simulate_arma(ps.builtin_models("m2"), n, seed).center()
+    fit = ps.whittle_fit(ts, ps.ar_family(3), E("complete"), [0.1] * 3,
+                         ps.SpectralMeanConfig(threshold=1e-3))
+    digest.update(fit.theta.tobytes() + np.array([fit.value, fit.converged]).tobytes())
+    for theta, value in fit.trace:
+        digest.update(theta.tobytes() + np.float64(value).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_blas_thread_count_invariance():
+    """The same bits with one OpenBLAS thread and with the library's default."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    digests = [
+        subprocess.run([sys.executable, "-c", _BLAS_SCRIPT], env=env, check=True,
+                       capture_output=True, text=True).stdout
+        for env in ({**base, "OPENBLAS_NUM_THREADS": "1"}, base)
+    ]
+    assert len(digests[0]) > 64 and digests[0] == digests[1]
 
 
 # Tables of m1 (lambda = 0.8), seed 2024, B = 70 (full blocks of
