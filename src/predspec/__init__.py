@@ -15,7 +15,6 @@ from .arfit import (
     ArModel,
     OrderSelection,
     aic_select,
-    ar_spectral,
     arma_expand,
     levinson_durbin,
     yule_walker_fit,
@@ -39,7 +38,6 @@ from .core import (
     Taper,
     TimeSeries,
     dft,
-    flat_taper,
     raw_periodogram,
     sample_autocov,
     tukey_taper,
@@ -61,7 +59,6 @@ from .integrated import (
     whittle_fit,
 )
 from .oracle import (
-    PredictorCoefficients,
     expected_quadratic,
     fejer_expected_periodogram,
     finite_predictor_coeffs,
@@ -99,7 +96,6 @@ __all__ = [
     "OrderSelection",
     "PeriodogramEstimate",
     "PgMeta",
-    "PredictorCoefficients",
     "PredspecError",
     "RiemannIntegral",
     "SpectralFamily",
@@ -112,7 +108,6 @@ __all__ = [
     "acf_estimate",
     "aic_select",
     "ar_family",
-    "ar_spectral",
     "arma_expand",
     "builtin_models",
     "complete_periodogram",
@@ -122,7 +117,6 @@ __all__ = [
     "expected_quadratic",
     "fejer_expected_periodogram",
     "finite_predictor_coeffs",
-    "flat_taper",
     "levinson_durbin",
     "predictive_dft",
     "predictive_dft_bruteforce",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.signal
 
-from .core import CovarianceSequence, FrequencyGrid, TimeSeries, _autocov_rows, _frozen_array, _integer
+from .core import CovarianceSequence, TimeSeries, _autocov_rows, _frozen_array, _integer
 from .exceptions import DomainError, NumericalError
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "levinson_durbin",
     "yule_walker_fit",
     "aic_select",
-    "ar_spectral",
     "arma_expand",
 ]
 
@@ -261,24 +260,17 @@ def aic_select(ts: TimeSeries, max_order: int | None = None) -> OrderSelection:
     return OrderSelection(chosen_p=p, k_n=aic.shape[1], aic_values=aic[0], model=model)
 
 
-def ar_spectral(model: ArModel, grid: FrequencyGrid):
-    """Transfer function a(w) and spectral density sigma2/|a(w)|**2 on a grid."""
-    aw = model.transfer(grid.frequencies)
-    return aw, model.sigma2 / (aw.real**2 + aw.imag**2)
-
-
 @dataclass(frozen=True)
 class ArmaExpansion:
     """Series expansions of an ARMA model truncated at M terms.
 
-    ar_inf[j-1] holds the AR-representation coefficient a_j (j = 1..M),
-    autocov the exact model autocovariances c(0..M), and density a
-    vectorized handle for f(w).
+    ar_inf[j-1] holds the AR-representation coefficient a_j (j = 1..M) and
+    autocov the exact model autocovariances c(0..M); the model's own
+    `density` gives f(w).
     """
 
     ar_inf: np.ndarray
     autocov: CovarianceSequence
-    density: object
 
 
 _EXPAND_CAP = 5000
@@ -348,4 +340,4 @@ def arma_expand(model: ArmaModel, M: int | None = None) -> ArmaExpansion:
         M = int(keep[-1]) + 1 if keep.size else 1
         ar_inf = ar_inf[:M]
     cov = CovarianceSequence(_arma_autocov(model, M), estimator="population")
-    return ArmaExpansion(ar_inf=ar_inf, autocov=cov, density=model.density)
+    return ArmaExpansion(ar_inf=ar_inf, autocov=cov)

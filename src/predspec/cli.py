@@ -164,8 +164,8 @@ def _add_series_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_quadrature_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", default="riemann", choices=["riemann", "fourier"])
-    p.add_argument("--riemann-points", dest="points", default=500, type=int,
-                   help="Riemann cells")
+    p.add_argument("--riemann-points", dest="points", default=None, type=int,
+                   help="Riemann cells (default 500; --mode riemann only)")
 
 
 def _load_input(args) -> TimeSeries:
@@ -181,7 +181,10 @@ def _estimate(args, ts: TimeSeries, grid: FrequencyGrid) -> PeriodogramEstimate:
 
 
 def _mean_config(args) -> SpectralMeanConfig:
-    mode = FourierSum() if args.mode == "fourier" else RiemannIntegral(args.points)
+    if args.mode == "fourier" and args.points is not None:
+        raise DomainError("--riemann-points applies only to --mode riemann")
+    riemann = RiemannIntegral() if args.points is None else RiemannIntegral(args.points)
+    mode = FourierSum() if args.mode == "fourier" else riemann
     return SpectralMeanConfig(mode=mode, threshold=_parse_threshold(args.threshold))
 
 
@@ -363,39 +366,6 @@ def parse_experiment_config(text: str) -> ExperimentSpec:
     )
 
 
-def format_experiment_config(spec: ExperimentSpec) -> str:
-    """Serialize a spec back to the config format (shared-flag estimators)."""
-    model, m2 = spec.model, builtin_models("m2")
-    if model.p == 2 and model.q == 0 and model.ar[0] == 0.0 and model.ar[1] < 0.0 and model.sigma2 == 1.0:
-        lines = ["model = m1", f"lambda = {_fmt(np.sqrt(-model.ar[1]))}"]
-    elif np.array_equal(model.ar, m2.ar) and np.array_equal(model.ma, m2.ma) and model.sigma2 == m2.sigma2:
-        lines = ["model = m2"]
-    else:
-        raise DomainError("the config format names only the builtin models m1 and m2")
-    lines += [
-        f"n = {spec.n}",
-        f"B = {spec.replications}",
-        f"seed = {spec.seed}",
-        f"estimators = {', '.join(est.kind for est in spec.estimators)}",
-        f"threshold = {_fmt(spec.threshold)}",
-    ]
-    for est in spec.estimators:
-        if isinstance(est.source, FixedOrder):
-            lines.append(f"order = {est.source.p}")
-            break
-    for est in spec.estimators:
-        if est.taper_d is not None:
-            lines.append(f"taper_d = {est.taper_d}")
-            break
-    if spec.smoothing is not None:
-        lines.append(f"window = {spec.smoothing[0]}")
-        lines.append(f"m = {spec.smoothing[1]}")
-    if spec.acf_lags is not None:
-        lines.append(f"acf_lags = {spec.acf_lags}")
-        lines.append(f"acf_points = {spec.acf_points}")
-    return "\n".join(lines) + "\n"
-
-
 # ------------------------------------------------------------------- parser
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -450,17 +420,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args, argv)
+    except SystemExit as exc:  # from argparse: 2 after a usage error, 0 after --help
+        return exc.code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,6 @@ __all__ = [
     "sample_autocov",
     "dft",
     "tukey_taper",
-    "flat_taper",
     "raw_periodogram",
 ]
 
@@ -60,12 +59,11 @@ def _integer(value, name: str) -> int:
 class TimeSeries:
     """An observed real-valued series x[1..n] (stored 0-based).
 
-    ``centered`` records that the sample mean has already been removed;
-    operations that assume a mean-zero series do not re-center.
+    Estimators use the values as given; call `center` to remove the sample
+    mean first.
     """
 
     values: np.ndarray
-    centered: bool = False
 
     def __post_init__(self):
         v = _frozen_array(self, "values", self.values, float)
@@ -73,10 +71,6 @@ class TimeSeries:
             raise DomainError("time series must be a non-empty 1-d array")
         if not np.all(np.isfinite(v)):
             raise DomainError("time series contains non-finite values")
-        if self.centered:
-            tol = 1e-12 * max(1.0, float(np.max(np.abs(v))))
-            if abs(float(v.mean())) > tol:
-                raise DomainError("series marked centered but sample mean is not ~0")
 
     @property
     def n(self) -> int:
@@ -91,7 +85,7 @@ class TimeSeries:
             centered = self.values - self.values.mean()
         if not np.all(np.isfinite(centered)):
             raise NumericalError("centring overflows: the series is too large")
-        return TimeSeries(centered, centered=True)
+        return TimeSeries(centered)
 
 
 def _lattice(M: int, kind: str) -> np.ndarray:
@@ -218,13 +212,6 @@ class Taper:
     @property
     def n(self) -> int:
         return self.weights.size
-
-
-def flat_taper(n: int) -> Taper:
-    """The all-ones taper (tapered quantities degenerate to untapered ones)."""
-    if _integer(n, "taper length") < 1:
-        raise DomainError("taper length must be >= 1")
-    return Taper(np.ones(n), h1=float(n), h2=float(n), description="flat")
 
 
 def tukey_taper(n: int, d: int) -> Taper:

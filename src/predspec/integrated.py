@@ -235,10 +235,6 @@ class SpectralFamily:
     def dim(self) -> int:
         return len(self.bounds)
 
-    def density(self, theta: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """f_theta(w) for one theta; binds the grid afresh on every call."""
-        return self.on_grid(w)(theta)
-
 
 def ar_family(p: int, limit: float = 0.99) -> SpectralFamily:
     """AR(p) family with unit innovation variance: f = 1/|a_theta(w)|**2.

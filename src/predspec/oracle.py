@@ -9,34 +9,18 @@ against these.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
-from .core import CovarianceSequence, FrequencyGrid, TimeSeries, _frozen_array
+from .core import CovarianceSequence, FrequencyGrid, TimeSeries
 from .exceptions import DomainError, NumericalError
 
 __all__ = [
-    "PredictorCoefficients",
     "finite_predictor_coeffs",
     "predictive_dft_bruteforce",
     "expected_quadratic",
     "fejer_expected_periodogram",
 ]
-
-
-@dataclass(frozen=True)
-class PredictorCoefficients:
-    """Weights of the best linear predictor of x[tau] from x[1..n]."""
-
-    target_index: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = _frozen_array(self, "weights", self.weights, float)
-        if w.ndim != 1 or w.size < 1:
-            raise DomainError("predictor weights must be a non-empty 1-d array")
 
 
 def _toeplitz_cholesky(cov: CovarianceSequence, n: int):
@@ -47,12 +31,13 @@ def _toeplitz_cholesky(cov: CovarianceSequence, n: int):
         raise NumericalError("covariance matrix is not positive definite") from exc
 
 
-def finite_predictor_coeffs(cov: CovarianceSequence, n: int, tau: int) -> PredictorCoefficients:
+def finite_predictor_coeffs(cov: CovarianceSequence, n: int, tau: int) -> np.ndarray:
     """Best-linear-predictor weights for x[tau] given x[1..n], tau outside 1..n.
 
-    Solves the dense normal equations R_n w = (c(tau-1), ..., c(tau-n))'
-    by a positive-definite factorization; no recursive shortcut is shared
-    with the estimation code this serves as a reference for.
+    Returns the length-n array w with xhat[tau] = sum_t w[t-1] * x[t].
+    Solves the dense normal equations R_n w = (c(tau-1), ..., c(tau-n))' by
+    a positive-definite factorization; no recursive shortcut is shared with
+    the estimation code this serves as a reference for.
     """
     if n < 1:
         raise DomainError("window length must be >= 1")
@@ -65,8 +50,7 @@ def finite_predictor_coeffs(cov: CovarianceSequence, n: int, tau: int) -> Predic
         )
     factor = _toeplitz_cholesky(cov, n)
     rhs = cov.lags[np.abs(tau - np.arange(1, n + 1))]
-    weights = scipy.linalg.cho_solve(factor, rhs)
-    return PredictorCoefficients(target_index=tau, weights=weights)
+    return scipy.linalg.cho_solve(factor, rhs)
 
 
 def predictive_dft_bruteforce(

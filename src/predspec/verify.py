@@ -25,6 +25,15 @@ from .simulation import builtin_models
 
 __all__ = ["CheckResult", "unbiasedness_report", "oracle_report", "run_suite"]
 
+# The unbiasedness grid: m1 root moduli and sample sizes.
+_LAMS = (0.7, 0.9, 0.95)
+_SIZES = (8, 20, 50)
+# Tolerances: exact unbiasedness is near machine precision; the closure
+# compares against a quadrature, the extension against a truncated horizon.
+_TOL_UNBIASED = 1e-9
+_TOL_CLOSURE = 1e-6
+_TOL_EXTENSION = 1e-8
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -42,9 +51,7 @@ def _dft_vector(n: int, w: float, weights: np.ndarray | None = None) -> np.ndarr
     return e if weights is None else e * weights
 
 
-def unbiasedness_report(
-    lams=(0.7, 0.9, 0.95), sizes=(8, 20, 50), tol: float = 1e-9
-) -> list:
+def unbiasedness_report() -> list:
     """Exact-expectation checks for completed periodograms under AR(2) truth.
 
     For each root modulus and sample size, the expectation of the completed
@@ -53,9 +60,9 @@ def unbiasedness_report(
     must match to near machine precision.
     """
     results = []
-    for lam in lams:
+    for lam in _LAMS:
         model = builtin_models("m1", lam)
-        for n in sizes:
+        for n in _SIZES:
             expansion = arma_expand(model, M=n + 8)
             cov = expansion.autocov
             grid = FrequencyGrid.fourier(n)
@@ -74,15 +81,15 @@ def unbiasedness_report(
                 mean_t, _ = expected_quadratic(v, ht, cov)
                 err_tapered = max(err_tapered, abs(mean_t - f[i]) / f[i])
             results.append(
-                CheckResult(f"unbiasedness plain lam={lam} n={n}", err_plain, tol)
+                CheckResult(f"unbiasedness plain lam={lam} n={n}", err_plain, _TOL_UNBIASED)
             )
             results.append(
-                CheckResult(f"unbiasedness tapered lam={lam} n={n}", err_tapered, tol)
+                CheckResult(f"unbiasedness tapered lam={lam} n={n}", err_tapered, _TOL_UNBIASED)
             )
     return results
 
 
-def oracle_report(tol_closure: float = 1e-6, tol_extension: float = 1e-8) -> list:
+def oracle_report() -> list:
     """Cross-checks between independent oracle routes.
 
     Expectation closure: the covariance trace form of E[|DFT|^2] must agree
@@ -107,7 +114,7 @@ def oracle_report(tol_closure: float = 1e-6, tol_extension: float = 1e-8) -> lis
                 mean, _ = expected_quadratic(e, e, cov)
                 reference = fejer_expected_periodogram(f_true, n, float(w))
                 err = max(err, abs(mean.real - reference) / reference)
-            results.append(CheckResult(f"expectation closure {name} n={n}", err, tol_closure))
+            results.append(CheckResult(f"expectation closure {name} n={n}", err, _TOL_CLOSURE))
 
     rng = np.random.default_rng(20260822)
     for coeffs in ([0.6], [-0.5], [0.5, -0.3], [1.2, -0.5]):
@@ -121,7 +128,7 @@ def oracle_report(tol_closure: float = 1e-6, tol_extension: float = 1e-8) -> lis
         err = float(np.max(np.abs(closed - brute)))
         label = ",".join(repr(a) for a in coeffs)
         results.append(
-            CheckResult(f"extension closed-vs-brute ar[{label}]", err, tol_extension)
+            CheckResult(f"extension closed-vs-brute ar[{label}]", err, _TOL_EXTENSION)
         )
     return results
 

@@ -13,7 +13,6 @@ from predspec import (
     NumericalError,
     TimeSeries,
     aic_select,
-    ar_spectral,
     arma_expand,
     EstimatorSpec,
     ExperimentSpec,
@@ -169,10 +168,9 @@ def test_aic_bounds():
         aic_select(ts, max_order=9)
 
 
-def test_ar_spectral_known_values():
+def test_ar_density_known_values():
     m = ArModel([0.0, -0.81], 1.0)
-    g = FrequencyGrid.explicit([0.0, np.pi / 2])
-    _, dens = ar_spectral(m, g)
+    dens = m.density(np.array([0.0, np.pi / 2]))
     assert dens[0] == pytest.approx((1 + 0.81) ** -2)
     assert dens[1] == pytest.approx((1 - 0.81) ** -2)  # ~27.7008
 
@@ -219,7 +217,7 @@ def test_arma_expand_density_integrates_to_autocov():
     model = builtin_models("m2")
     e = arma_expand(model, M=50)
     w = (np.arange(4096) + 0.5) * 2 * np.pi / 4096
-    f = e.density(w)
+    f = model.density(w)
     for r in range(6):
         quad = np.mean(f * np.cos(r * w))
         assert quad == pytest.approx(e.autocov.lags[r], rel=1e-6)

@@ -8,8 +8,8 @@ from predspec import (
     DomainError,
     FrequencyGrid,
     TimeSeries,
+    Taper,
     dft,
-    flat_taper,
     raw_periodogram,
     sample_autocov,
     tukey_taper,
@@ -19,9 +19,7 @@ from predspec import (
 def test_timeseries_basic():
     ts = TimeSeries([1.0, 2.0, 3.0])
     assert ts.n == 3
-    assert not ts.centered
     c = ts.center()
-    assert c.centered
     np.testing.assert_allclose(c.values, [-1.0, 0.0, 1.0])
     # original untouched
     np.testing.assert_allclose(ts.values, [1.0, 2.0, 3.0])
@@ -201,11 +199,11 @@ def test_tukey_taper_symmetry_and_bounds():
         tukey_taper(10, 6)  # 2d > n
 
 
-def test_flat_taper_is_identity_for_dft():
+def test_all_ones_taper_is_identity_for_dft():
     rng = np.random.default_rng(3)
     ts = TimeSeries(rng.standard_normal(12))
     g = FrequencyGrid.fourier(12)
-    np.testing.assert_allclose(dft(ts, g, flat_taper(12)), dft(ts, g), rtol=1e-14)
+    np.testing.assert_allclose(dft(ts, g, Taper(np.ones(12), h1=12.0, h2=12.0)), dft(ts, g), rtol=1e-14)
 
 
 def test_raw_periodogram_known_values():

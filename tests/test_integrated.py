@@ -403,7 +403,6 @@ def test_ar_family_on_grid_matches_transfer_polynomial(data):
         aw = _transfer_polynomial(theta, w)
         want = 1.0 / (aw.real**2 + aw.imag**2)
         assert np.array_equal(density(theta), want)
-        assert np.array_equal(ar_family(p).density(theta, w), want)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -506,10 +505,9 @@ def test_simplex_matches_scipy_nelder_mead(problem):
 def test_ar_family_unit_variance_log_mean_vanishes():
     # Kolmogorov's formula: the log spectral density of a causal AR model
     # with sigma2=1 integrates to 0; the Riemann mean should be ~0 too
-    fam = ar_family(2)
-    w = FrequencyGrid.uniform(4096).frequencies
+    density = ar_family(2).on_grid(FrequencyGrid.uniform(4096).frequencies)
     for theta in ([0.5, -0.3], [0.0, -0.81], [1.2, -0.5]):
-        dens = fam.density(np.asarray(theta), w)
+        dens = density(np.asarray(theta))
         assert np.mean(np.log(dens)) == pytest.approx(0.0, abs=1e-9)
 
 

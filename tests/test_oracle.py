@@ -29,15 +29,13 @@ def test_finite_predictor_ar1_backcast():
     # stationary AR(1) is time-reversible: the one-step backcast of X_0
     # given X_1..X_n is a*X_1
     cov = arma_expand(ArmaModel([0.5], [], 1.0), M=20).autocov
-    pred = finite_predictor_coeffs(cov, 6, 0)
-    np.testing.assert_allclose(pred.weights, [0.5, 0, 0, 0, 0, 0], atol=1e-12)
-    assert pred.target_index == 0
+    weights = finite_predictor_coeffs(cov, 6, 0)
+    np.testing.assert_allclose(weights, [0.5, 0, 0, 0, 0, 0], atol=1e-12)
 
 
 def test_finite_predictor_white_noise():
     cov = CovarianceSequence(np.r_[1.0, np.zeros(10)])
-    pred = finite_predictor_coeffs(cov, 5, 8)
-    np.testing.assert_allclose(pred.weights, 0.0, atol=1e-14)
+    np.testing.assert_allclose(finite_predictor_coeffs(cov, 5, 8), 0.0, atol=1e-14)
 
 
 def test_finite_predictor_rejects_interior_target():
@@ -53,9 +51,9 @@ def test_finite_predictor_normal_equations_residual():
     n = 8
     R = cov.toeplitz(n)
     for tau in (-3, 0, 9, 12):
-        pred = finite_predictor_coeffs(cov, n, tau)
+        weights = finite_predictor_coeffs(cov, n, tau)
         rhs = np.array([cov.lags[abs(tau - t)] for t in range(1, n + 1)])
-        resid = np.linalg.norm(R @ pred.weights - rhs)
+        resid = np.linalg.norm(R @ weights - rhs)
         assert resid < 1e-10 * max(1.0, np.linalg.norm(rhs))
 
 
@@ -67,7 +65,7 @@ def test_predictor_covariance_preservation():
     n = 10
     R = cov.toeplitz(n)
     for tau in (-4, -1, 0, n + 1, n + 3, n + 7):
-        w = finite_predictor_coeffs(cov, n, tau).weights
+        w = finite_predictor_coeffs(cov, n, tau)
         lhs = R @ w  # entry t-1 holds cov(X_t, X-hat_tau)
         want = np.array([cov.lags[abs(t - tau)] for t in range(1, n + 1)])
         np.testing.assert_allclose(lhs, want, rtol=1e-9, atol=1e-12)

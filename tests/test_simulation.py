@@ -24,7 +24,6 @@ from predspec import (
     ar_family,
     arma_expand,
     builtin_models,
-    flat_taper,
     levinson_durbin,
     raw_periodogram,
     run_experiment,
@@ -132,7 +131,6 @@ _SPEC = dict(model=_M1, n=20, replications=10, estimators=(EstimatorSpec("regula
         lambda: arma_expand(_M1, M=3.0),
         lambda: FrequencyGrid.fourier(8.0),
         lambda: FrequencyGrid.uniform(8.5),
-        lambda: flat_taper(2.5),
         lambda: tukey_taper(20, 2.5),
         lambda: sample_autocov(TimeSeries(np.ones(8)), 2.0),
         lambda: levinson_durbin(CovarianceSequence([1.0, 0.5]), 1.0),
@@ -148,7 +146,7 @@ _SPEC = dict(model=_M1, n=20, replications=10, estimators=(EstimatorSpec("regula
     ],
     ids=["window-m", "window-m-float64", "smoothing-m", "seed", "n", "replications",
          "acf-lags", "acf-points", "simulate-seed", "simulate-n", "split-seed", "split-index",
-         "expand-M", "fourier-size", "uniform-size", "flat-taper-n", "tukey-d", "autocov-lag",
+         "expand-M", "fourier-size", "uniform-size", "tukey-d", "autocov-lag",
          "levinson-order", "yule-walker-order", "aic-max-order", "acf-lags-float", "acf-lags-bool",
          "family-order-2.0", "family-order-2.5", "riemann-points", "riemann-points-str",
          "whittle-init-str"],
