@@ -275,7 +275,7 @@ class ArmaExpansion:
 
 _EXPAND_CAP = 5000
 _MA_TAIL_CAP = 200_000
-# Steps of the MA-weight filter per lfilter call.
+# Steps of the first MA-weight filter; each retry filters four times as many.
 _MA_CHUNK = 4096
 
 
@@ -284,32 +284,29 @@ def _polynomials(model: ArmaModel):
     return np.concatenate(([1.0], -model.ar)), np.concatenate(([1.0], model.ma))
 
 
-def _ma_weights(model: ArmaModel, tol: float = 1e-14) -> np.ndarray:
+def _ma_weights(model: ArmaModel) -> np.ndarray:
     """MA-representation weights b_0=1, b_1, ... through the first run of
-    1+P+Q weights past b_0 that all fall below tol.
+    1+P+Q weights past b_0 that all fall below 1e-14.
 
-    The weights are the impulse response of psi/phi, filtered chunk by chunk
-    with the filter state carried over, so only as many are computed as the
-    cut needs (at most _MA_TAIL_CAP past b_0).
+    The weights are the impulse response of psi/phi, filtered from scratch
+    over _MA_CHUNK steps, then four times as many, and so on up to
+    _MA_TAIL_CAP, until the run shows up.  A causal filter gives a longer
+    response the same leading bits, so the cut does not depend on the lengths.
     """
     phi, psi = _polynomials(model)
     window = 1 + model.p + model.q
-    x = np.zeros(_MA_CHUNK)
-    x[0] = 1.0
-    zi = np.zeros(max(model.p, model.q))
-    steps = np.arange(_MA_CHUNK)
-    chunks, run = [], 0  # run: trailing weights below tol so far
-    for start in range(0, _MA_TAIL_CAP + 1, _MA_CHUNK):
-        chunk, zi = scipy.signal.lfilter(psi, phi, x, zi=zi)
-        x[0] = 0.0
-        chunks.append(chunk)
-        # length of the run of small weights ending at each step of the chunk
-        runs = steps - np.maximum.accumulate(np.where(np.abs(chunk) < tol, -1 - run, steps))
-        hits = np.flatnonzero(runs >= window)
-        if hits.size and start + hits[0] <= _MA_TAIL_CAP:
-            return np.concatenate(chunks)[: start + hits[0] + 1]
-        run = int(runs[-1])
-    raise NumericalError("MA-representation weights did not decay; model too close to the unit circle")
+    steps = max(_MA_CHUNK, window)
+    while True:
+        impulse = np.zeros(min(steps, _MA_TAIL_CAP) + 1)
+        impulse[0] = 1.0
+        b = scipy.signal.lfilter(psi, phi, impulse)
+        big = np.cumsum(~(np.abs(b) < 1e-14))  # weights not below 1e-14 up to each step
+        hits = np.flatnonzero(big[window:] == big[:-window])  # runs of small weights ending at window + hit
+        if hits.size:
+            return b[: window + hits[0] + 1]
+        if steps >= _MA_TAIL_CAP:
+            raise NumericalError("MA-representation weights did not decay; model too close to the unit circle")
+        steps *= 4
 
 
 def _arma_autocov(model: ArmaModel, max_lag: int) -> np.ndarray:

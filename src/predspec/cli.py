@@ -44,23 +44,30 @@ def _fmt(x) -> str:
     return x if isinstance(x, str) else repr(float(x))
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path!r} is not UTF-8 text: {exc}") from None
+
+
 def _read_series(path: str) -> TimeSeries:
     values = []
     first_data_line = True
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values.append(float(line))
+    for raw in _read_text(path).split("\n"):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            values.append(float(line))
+            first_data_line = False
+        except ValueError:
+            if first_data_line:
+                # a single header row is tolerated at the top
                 first_data_line = False
-            except ValueError:
-                if first_data_line:
-                    # a single header row is tolerated at the top
-                    first_data_line = False
-                    continue
-                raise DomainError(f"non-numeric value in {path!r}: {line!r}")
+                continue
+            raise DomainError(f"non-numeric value in {path!r}: {line!r}")
     if not values:
         raise DomainError(f"no numeric data found in {path!r}")
     return TimeSeries(np.asarray(values))
@@ -264,8 +271,7 @@ def _cmd_simulate(args, argv) -> int:
 
 
 def _cmd_experiment(args, argv) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        spec = parse_experiment_config(fh.read())
+    spec = parse_experiment_config(_read_text(args.config))
     table = run_experiment(spec)
     acf_mode = table.mode == "acf"
     cols = {
@@ -431,7 +437,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,6 +27,7 @@ from .core import (
     TimeSeries,
     _dft_rows,
     _frozen_array,
+    _periodogram_rows,
     _phase_sums,
 )
 from .exceptions import DomainError, NumericalError
@@ -165,37 +166,60 @@ def predictive_dft_truncated_infinite(
 def _source_rows(x: np.ndarray, source: ModelSource):
     """The AR coefficients a source gives each row of x (rows, n).
 
-    Returns (coeffs, orders, kind): a (rows, m) block, or (1, m) for a known
-    model; the per-row orders (None for a truncated sequence); and the kind
-    of the resulting estimate.
+    Returns (coeffs, orders): a (rows, m) block, or (1, m) for a known model,
+    and the per-row orders (None for a truncated sequence).
     """
     rows, n = x.shape
     if isinstance(source, Explicit):
         _check_order(source.model.p, n)
-        return source.model.coeffs[None], np.full(rows, source.model.p), "complete-true-ar"
+        return source.model.coeffs[None], np.full(rows, source.model.p)
     if isinstance(source, FixedOrder):
         coeffs, _ = _yule_walker_rows(x, source.p)
-        return coeffs[:, source.p, : source.p], np.full(rows, source.p), "complete"
+        return coeffs[:, source.p, : source.p], np.full(rows, source.p)
     if isinstance(source, AutoAIC):
         orders, coeffs, _, _ = _aic_rows(x, source.max_order)
-        return coeffs[:, : orders.max()], orders, "complete"
+        return coeffs[:, : orders.max()], orders
     if isinstance(source, TruncatedInfinite):
-        return source.coeffs[None], None, "complete"
+        return source.coeffs[None], None
     raise DomainError(f"unknown model source {source!r}")
 
 
-def _completed_dft_rows(x: np.ndarray, source: ModelSource, grid: FrequencyGrid, j: np.ndarray):
-    """The completed DFT J + correction of each row of x (rows, n), given its DFT rows j.
+def _estimate_block(plans, x: np.ndarray, grid: FrequencyGrid) -> list:
+    """Each (taper, source) plan's estimator on every row of x (rows, n).
 
-    Returns (completed, orders, kind), with the orders and kind as `_source_rows` gives them.
+    A plan's source is None for the raw periodograms.  One pass over the
+    block: the plain DFT once, and each taper's DFT and each source's
+    completed DFT (J + predictive correction) once per object, whatever the
+    number of plans that hold it.  Returns one (values, orders) pair per
+    plan: the (rows, |grid|) values, real for the raw kinds and complex for
+    the completed ones, and the per-row AR orders (None for the raw kinds
+    and a truncated sequence).  A plan's rows do not depend on the other
+    plans or rows.
     """
-    a, orders, kind = _source_rows(x, source)
-    return j + _correction_rows(x, a, grid), orders, kind
+    j = _dft_rows(x, grid)
+    shared = {}
 
+    def once(obj, make):
+        if id(obj) not in shared:
+            shared[id(obj)] = make()
+        return shared[id(obj)]
 
-def _complete_rows(completed: np.ndarray, conj_factor: np.ndarray) -> np.ndarray:
-    """Completed periodogram rows: the completed DFT times the conjugated (possibly tapered) DFT."""
-    return completed * np.conj(conj_factor)
+    def completed(source):
+        a, orders = _source_rows(x, source)
+        return j + _correction_rows(x, a, grid), orders
+
+    out = []
+    for taper, source in plans:
+        jt = j if taper is None else once(taper, lambda: _dft_rows(x, grid, taper))
+        if source is None:
+            out.append((_periodogram_rows(jt, taper), None))
+        else:
+            dft, orders = once(source, lambda: completed(source))
+            # np.multiply, not `*`: numpy computes `dft * <temporary>` of 256 KiB
+            # or more in place with the operands swapped, which moves the last
+            # bit of the imaginary part, so rows would depend on the block size
+            out.append((np.multiply(dft, np.conj(jt)), orders))
+    return out
 
 
 def complete_periodogram(
@@ -211,19 +235,19 @@ def complete_periodogram(
     are complex; callers wanting a real estimate take the real part (see
     `threshold_real`).  Values too large to multiply raise NumericalError.
     """
-    x = ts.values[None]
     with np.errstate(over="ignore", invalid="ignore"):
-        j = _dft_rows(x, grid)
-        completed, orders, kind = _completed_dft_rows(x, source, grid, j)
-        values = _complete_rows(completed, j if taper is None else _dft_rows(x, grid, taper))[0]
+        [(values, orders)] = _estimate_block([(taper, source)], ts.values[None], grid)
     if not np.all(np.isfinite(values)):
         raise NumericalError("completed periodogram overflows: the series is too large")
     meta = PgMeta(
         order=None if orders is None else int(orders[0]),
         taper=None if taper is None else taper.description,
     )
-    kind = kind if taper is None else "tapered-complete"
-    return PeriodogramEstimate(grid, values, kind=kind, meta=meta)
+    if taper is not None:
+        kind = "tapered-complete"
+    else:
+        kind = "complete-true-ar" if isinstance(source, Explicit) else "complete"
+    return PeriodogramEstimate(grid, values[0], kind=kind, meta=meta)
 
 
 def threshold_real(pg: PeriodogramEstimate, delta: float) -> PeriodogramEstimate:

@@ -2,21 +2,18 @@
 
 Experiment runners, integrated statistics, and the CLI all need to say
 "the tapered completed periodogram with AIC-selected order" as data; this
-module holds that description and evaluates it on a series, or on a block
-of series for the experiment runner.  It is the one place that knows which
-kinds taper and where each kind's AR model comes from.
+module holds that description, resolves it to the (taper, source) plan that
+`complete._estimate_block` evaluates on a block of series, and evaluates it
+on one series.  It is the one place that knows which kinds taper and where
+each kind's AR model comes from.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .complete import AutoAIC, Explicit, ModelSource, complete_periodogram
-from .complete import _complete_rows, _completed_dft_rows
 from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries, raw_periodogram, tukey_taper
-from .core import _dft_rows, _periodogram_rows
 from .exceptions import DomainError
 
 __all__ = ["ESTIMATOR_KINDS", "EstimatorSpec", "evaluate_estimator", "default_rise"]
@@ -82,59 +79,25 @@ class EstimatorSpec:
         return self.kind if self.taper_d is None else f"{self.kind}(d={self.taper_d})"
 
 
-def _plans(specs, n: int) -> list:
+def _plans(specs, n: int, truth: Explicit | None = None) -> list:
     """The (taper, source) plan of each spec at length n; the source is None for the raw kinds.
 
-    Specs with the same rise length get one Taper object and the fitted
-    kinds without a source one AutoAIC, so the block kernel takes each
-    tapered DFT and each fit once.
+    A "complete-true" spec without a source of its own takes `truth`.  Specs
+    with the same rise length get one Taper object and the fitted kinds
+    without a source one AutoAIC, so the block pass, which shares work
+    between plans holding the same object, takes each tapered DFT and each
+    fit once.
     """
     tapers, fitted, plans = {}, AutoAIC(), []
     for spec in specs:
         d = spec.taper_d if spec.taper_d is not None else default_rise(n)
         if spec.tapered and d not in tapers:
             tapers[d] = tukey_taper(n, d)
-        if spec.source is None and spec.kind == "complete-true":
-            raise DomainError("complete-true estimator needs the generating AR model as source=Explicit(model)")
-        source = (spec.source or fitted) if spec.completed else None
-        plans.append((tapers[d] if spec.tapered else None, source))
-    return plans
-
-
-def _estimate_block(plans, x: np.ndarray, grid: FrequencyGrid) -> list:
-    """Each (taper, source) plan's estimator on every row of x (rows, n).
-
-    One pass over the block: the plain DFT once, each distinct taper's DFT
-    once and each distinct source's completed DFT once, whatever the number
-    of estimators that use them.  Returns one (rows, |grid|) array per plan,
-    real for the raw kinds and complex for the completed ones; a plan's rows
-    do not depend on the other plans.
-    """
-    j = _dft_rows(x, grid)
-    shared = {}
-
-    def once(obj, make):
-        """make() for the first plan with this taper or source; equal hashable
-        sources share, and the array-holding ones (Explicit, TruncatedInfinite,
-        Taper) share by identity."""
-        try:
-            hash(obj)
-            key = obj
-        except TypeError:
-            key = id(obj)
-        if key not in shared:
-            shared[key] = make()
-        return shared[key]
-
-    out = []
-    for taper, source in plans:
-        jt = j if taper is None else once(taper, lambda: _dft_rows(x, grid, taper))
+        source = spec.source or (truth if spec.kind == "complete-true" else fitted)
         if source is None:
-            out.append(_periodogram_rows(jt, taper))
-        else:
-            completed = once(source, lambda: _completed_dft_rows(x, source, grid, j)[0])
-            out.append(_complete_rows(completed, jt))
-    return out
+            raise DomainError("complete-true estimator needs the generating AR model as source=Explicit(model)")
+        plans.append((tapers[d] if spec.tapered else None, source if spec.completed else None))
+    return plans
 
 
 def evaluate_estimator(ts: TimeSeries, spec: EstimatorSpec, grid: FrequencyGrid) -> PeriodogramEstimate:

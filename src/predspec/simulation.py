@@ -10,16 +10,17 @@ bit-identical tables on every run.
 """
 from __future__ import annotations
 
+import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.signal
 
 from .arfit import ArmaModel, _arma_autocov, _polynomials
-from .complete import Explicit
+from .complete import Explicit, _estimate_block
 from .core import FrequencyGrid, TimeSeries, _integer
-from .estimators import EstimatorSpec, _estimate_block, _plans
+from .estimators import EstimatorSpec, _plans
 from .exceptions import DomainError
 from .integrated import _cosine_moments, _cosine_table, _smooth_rows, spectral_window
 
@@ -128,7 +129,12 @@ class ExperimentSpec:
     acf_points: int = 500
 
     def __post_init__(self):
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+        if not isinstance(self.model, ArmaModel):
+            raise DomainError(f"model must be an ArmaModel, got {self.model!r}")
+        try:
+            object.__setattr__(self, "estimators", tuple(self.estimators))
+        except TypeError:
+            raise DomainError("estimators must be a sequence of EstimatorSpec instances") from None
         for name in ("n", "replications", "seed", "acf_lags", "acf_points"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _integer(getattr(self, name), name))
@@ -145,10 +151,13 @@ class ExperimentSpec:
                 raise DomainError("complete-true uses the generating model; give it no source")
         if self.seed < 0:
             raise DomainError("seed must be a nonnegative integer")
-        if not (np.isfinite(self.threshold) and self.threshold > 0.0):
-            raise DomainError("threshold must be positive")
+        if not (isinstance(self.threshold, numbers.Real) and np.isfinite(self.threshold) and self.threshold > 0.0):
+            raise DomainError("threshold must be a positive finite number")
         if self.smoothing is not None:
-            kind, m = self.smoothing
+            try:
+                kind, m = self.smoothing
+            except (TypeError, ValueError):
+                raise DomainError("smoothing must be a (window kind, m) pair") from None
             object.__setattr__(self, "smoothing", (kind, spectral_window(kind, m).m))
             if 2 * self.smoothing[1] + 1 > self.n:
                 raise DomainError("window wider than the frequency grid")
@@ -217,15 +226,14 @@ class _Prep:
             self.true_target = spec.model.density(self.grid.frequencies)
             self.dim = n
             self.window = None if spec.smoothing is None else spectral_window(*spec.smoothing)
-        estimators = spec.estimators
+        truth = None
         if any(est.kind == "complete-true" for est in spec.estimators):
             if spec.model.q != 0:
                 raise DomainError(
                     "complete-true estimator is undefined for models with a moving-average part"
                 )
             truth = Explicit(spec.model.pure_ar())
-            estimators = [replace(e, source=truth) if e.kind == "complete-true" else e for e in estimators]
-        self.plans = _plans(estimators, n)
+        self.plans = _plans(spec.estimators, n, truth)
 
     def reduce(self, est: EstimatorSpec, block: np.ndarray) -> np.ndarray:
         """Per-replication metric inputs from an estimator's block of evaluated
@@ -250,20 +258,13 @@ _BLOCK = 32
 def _summarize(spec: ExperimentSpec, prep: _Prep, slots) -> tuple:
     rows = []
     B = spec.replications
-    target = prep.true_target
+    acf = prep.mode == "acf"
+    scale = 1.0 if acf else prep.true_target  # absolute errors for autocorrelations, relative for densities
+    goal = prep.true_target / scale
     for est, values in zip(spec.estimators, slots):
-        if prep.mode == "acf":
-            rel = values  # absolute errors for autocorrelations
-            err = values - target[None, :]
-            bias_vec = values.mean(axis=0) - target
-            per_lag_mse = np.mean(err**2, axis=0)
-            per_lag_bias = bias_vec**2
-        else:
-            rel = values / target[None, :]  # relative errors for densities
-            err = rel - 1.0
-            bias_vec = rel.mean(axis=0) - 1.0
-            per_lag_mse = None
-            per_lag_bias = None
+        rel = values / scale
+        err = rel - goal
+        bias_vec = rel.mean(axis=0) - goal
         per_rep = np.mean(err**2, axis=1)
         mse = float(per_rep.mean())
         bias = float(np.mean(bias_vec**2))
@@ -280,8 +281,8 @@ def _summarize(spec: ExperimentSpec, prep: _Prep, slots) -> tuple:
                 ibias=bias,
                 imse_se=mse_se,
                 ibias_se=bias_se,
-                per_lag_mse=per_lag_mse,
-                per_lag_bias=per_lag_bias,
+                per_lag_mse=np.mean(err**2, axis=0) if acf else None,
+                per_lag_bias=bias_vec**2 if acf else None,
             )
         )
     return tuple(rows)
@@ -299,7 +300,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> MetricTable:
     estimators of the experiment.  `threads` (>= 1) is accepted for
     compatibility and has no effect: the table does not depend on it.
     """
-    if threads < 1:
+    if _integer(threads, "threads") < 1:
         raise DomainError("threads must be >= 1")
     start = time.perf_counter()
     prep = _Prep(spec)  # validates estimator/model compatibility up front
@@ -318,7 +319,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> MetricTable:
         seeds = (split_seed(spec.seed, b) for b in range(b0, b1))  # derived within the simulate stage
         x = timed("simulate", lambda: _simulate_rows(spec.model, spec.n, seeds))
         block = timed("estimate", lambda: _estimate_block(prep.plans, x, prep.grid))
-        for slot, est, values in zip(slots, spec.estimators, block):
+        for slot, est, (values, _) in zip(slots, spec.estimators, block):
             slot[b0:b1] = timed("reduce", lambda: prep.reduce(est, values))
     rows = timed("summarize", lambda: _summarize(spec, prep, slots))
     runtime = time.perf_counter() - start

@@ -334,7 +334,7 @@ def test_arma_expand_matches_reference_recursions(ar, ma, sigma2, M):
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
 def test_ma_weights_independent_of_chunk_length(monkeypatch, chunk):
-    # the run of small weights that ends the filter may straddle chunks
+    # the cut does not depend on the length of the first filter, however short
     models = [builtin_models("m2"), builtin_models("m1", 0.9), ArmaModel([0.0, 0.0, 0.5], [0.0, 0.3], 2.0),
               ArmaModel([0.995], [], 1.0), ArmaModel([], [0.4], 1.0), ArmaModel([], [], 1.0)]
     whole = [_ma_weights(m) for m in models]

@@ -100,7 +100,10 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["experiment", str(binary_cfg)],
     ):
         assert main(argv) == 2, argv
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err
+        for path in (str(binary_csv), str(binary_cfg)):
+            assert path in err or path not in argv  # a file that is not UTF-8 text is named
     assert main(["periodogram", "--help"]) == 0
     assert "usage" in capsys.readouterr().out
 

@@ -14,10 +14,12 @@ from predspec import (
     FixedOrder,
     FrequencyGrid,
     TimeSeries,
+    TruncatedInfinite,
     evaluate_estimator,
 )
 from predspec.arfit import _aic_rows
-from predspec.estimators import _estimate_block, _plans
+from predspec.complete import _estimate_block
+from predspec.estimators import _plans
 from predspec.simulation import _simulate_rows
 
 
@@ -45,14 +47,17 @@ def _ar_block(draw, kmax):
 
 def _assert_block_matches_single(specs, x, grid):
     """Each spec's rows of one shared block pass equal `evaluate_estimator`
-    on each series bit for bit."""
+    on each series bit for bit, and its orders are each estimate's order."""
     block = _estimate_block(_plans(specs, x.shape[-1]), x, grid)
     assert len(block) == len(specs)
-    for spec, values in zip(specs, block):
+    for spec, (values, orders) in zip(specs, block):
         assert values.shape == (x.shape[0], grid.size)
-        for row, got in zip(x, values):
-            single = evaluate_estimator(TimeSeries(row), spec, grid).values
-            np.testing.assert_array_equal(got, single, err_msg=spec.label)
+        if orders is not None:
+            assert orders.shape == (x.shape[0],)
+        for i, (row, got) in enumerate(zip(x, values)):
+            single = evaluate_estimator(TimeSeries(row), spec, grid)
+            np.testing.assert_array_equal(got, single.values, err_msg=spec.label)
+            assert (None if orders is None else orders[i]) == single.meta.order, spec.label
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -69,8 +74,19 @@ def test_block_rows_match_single_series(case):
         EstimatorSpec("complete"),
         EstimatorSpec("tapered-complete", taper_d=2),
         EstimatorSpec("complete", source=FixedOrder(2)),
+        EstimatorSpec("complete", source=TruncatedInfinite(np.array([0.5, -0.25, 0.125]))),
     ]
     _assert_block_matches_single(specs, x, grid)
+
+
+def test_block_rows_match_single_series_on_large_blocks():
+    """A block of 40 rows on a 500-point grid holds more than 256 KiB per
+    estimator, where numpy would evaluate a product with a temporary operand
+    in place; its rows still equal the single-series ones bit for bit."""
+    a = np.array([0.5, -0.3])
+    x = _simulate_rows(ArmaModel(a, [], 1.0), 50, range(40))
+    specs = [EstimatorSpec("complete-true", source=Explicit(ArModel(a, 1.0))), EstimatorSpec("tapered-complete")]
+    _assert_block_matches_single(specs, x, FrequencyGrid.uniform(500))
 
 
 @st.composite

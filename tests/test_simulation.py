@@ -143,17 +143,39 @@ _SPEC = dict(model=_M1, n=20, replications=10, estimators=(EstimatorSpec("regula
         lambda: RiemannIntegral(points=8.5),
         lambda: RiemannIntegral("x"),
         lambda: whittle_fit(_TS, ar_family(1), EstimatorSpec("regular"), ["a"]),
+        lambda: run_experiment(ExperimentSpec(**_SPEC), threads=2.5),
+        lambda: run_experiment(ExperimentSpec(**_SPEC), threads=True),
+        lambda: run_experiment(ExperimentSpec(**_SPEC), threads="4"),
     ],
     ids=["window-m", "window-m-float64", "smoothing-m", "seed", "n", "replications",
          "acf-lags", "acf-points", "simulate-seed", "simulate-n", "split-seed", "split-index",
          "expand-M", "fourier-size", "uniform-size", "tukey-d", "autocov-lag",
          "levinson-order", "yule-walker-order", "aic-max-order", "acf-lags-float", "acf-lags-bool",
          "family-order-2.0", "family-order-2.5", "riemann-points", "riemann-points-str",
-         "whittle-init-str"],
+         "whittle-init-str", "threads-float", "threads-bool", "threads-str"],
 )
 def test_non_integer_parameters_rejected(call):
     with pytest.raises(DomainError, match="must be an integer|must be a sequence of numbers"):
         call()
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"model": "m1"},
+        {"smoothing": ("hann",)},
+        {"smoothing": ("hann", 2, 3)},
+        {"smoothing": 2},
+        {"threshold": "a"},
+        {"estimators": EstimatorSpec("regular")},
+        {"estimators": ("regular",)},
+    ],
+    ids=["model-str", "smoothing-single", "smoothing-triple", "smoothing-int", "threshold-str",
+         "estimators-single-spec", "estimators-kind-names"],
+)
+def test_malformed_experiment_spec_rejected(changes):
+    with pytest.raises(DomainError):
+        ExperimentSpec(**{**_SPEC, **changes})
 
 
 def test_integer_like_parameters_accepted():
