@@ -101,7 +101,7 @@ def _comment(argv: list) -> str:
 # ------------------------------------------------------------- flag plumbing
 
 def _number(kind, token: str, what: str):
-    """kind(token) (int or float), reporting a malformed token as bad input."""
+    """kind(token) (int, float or str), reporting a malformed token as bad input."""
     try:
         return kind(token)
     except ValueError:
@@ -111,28 +111,11 @@ def _number(kind, token: str, what: str):
 
 def _parse_model_token(token: str) -> ArmaModel:
     name, _, param = token.partition(":")
-    name = name.strip().lower()
-    if name == "m1":
-        if not param:
-            raise DomainError("model m1 needs a parameter, e.g. m1:0.9")
-        return builtin_models("m1", _number(float, param, "the m1 parameter"))
-    if name == "m2":
-        if param:
-            raise DomainError("model m2 takes no parameter")
-        return builtin_models("m2")
-    raise DomainError(f"unknown model {token!r} (use m1:LAMBDA or m2)")
+    return builtin_models(name, _number(float, param, "the model parameter") if param else None)
 
 
 def _parse_threshold(value: str):
-    if value.lower() == "none":
-        return None
-    try:
-        delta = float(value)
-    except ValueError:
-        raise DomainError(f"threshold must be a number or 'none', got {value!r}")
-    if delta <= 0:
-        raise DomainError("threshold must be positive")
-    return delta
+    return None if value.lower() == "none" else _number(float, value, "--threshold")
 
 
 def _parse_grid(value: str, n: int) -> FrequencyGrid:
@@ -298,76 +281,58 @@ def _cmd_verify(args, argv) -> int:
 
 # ------------------------------------------------------- experiment config
 
+# Every config key, spelled as in the README (keys match case-insensitively),
+# and the type its value converts to.
+_CONFIG_KEYS = {
+    "model": str, "lambda": float, "n": int, "B": int, "seed": int, "estimators": str,
+    "order": str, "taper_d": int, "threshold": float, "window": str, "m": int,
+    "acf_lags": int, "acf_points": int,
+}
+_CONFIG_SPELLING = {key.lower(): key for key in _CONFIG_KEYS}
+
+
 def parse_experiment_config(text: str) -> ExperimentSpec:
     """Parse the key = value experiment format (see README for the keys)."""
-    entries: dict = {}
+    cfg: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        token, eq, value = line.partition("=")
+        if not eq:
             raise DomainError(f"config line {lineno} is not 'key = value': {raw!r}")
-        key, _, value = line.partition("=")
-        entries[key.strip().lower()] = value.strip()
+        key = _CONFIG_SPELLING.get(token.strip().lower())
+        if key is None:
+            raise DomainError(f"unknown config key {token.strip()!r} on line {lineno}")
+        if key in cfg:
+            raise DomainError(f"config key {key!r} is set twice (line {lineno})")
+        cfg[key] = _number(_CONFIG_KEYS[key], value.strip(), key)
+    missing = [key for key in ("model", "n", "B", "seed") if key not in cfg]
+    if missing:
+        raise DomainError(f"config must set {', '.join(map(repr, missing))}")
+    if ("window" in cfg) != ("m" in cfg):
+        raise DomainError("smoothing needs both 'window' and 'm'")
 
-    def pop(key, default=None):
-        return entries.pop(key, default)
-
-    model_token = pop("model")
-    if model_token is None:
-        raise DomainError("config must set 'model'")
-    lam = pop("lambda", None)
-    if lam is not None:
-        if ":" in model_token:
-            raise DomainError("give the model parameter once: either 'lambda =' or 'model = m1:L'")
-        model_token = f"{model_token}:{lam}"
-    model = _parse_model_token(model_token)
-    try:
-        n = int(pop("n", ""))
-        replications = int(pop("b", pop("replications", "")))
-        seed = int(pop("seed", ""))
-    except ValueError:
-        raise DomainError("config must set integer 'n', 'B', and 'seed'")
-
-    source = _order_source(pop("order", "auto"), "order")
-    taper_token = pop("taper_d", None)
-    taper_d = _number(int, taper_token, "taper_d") if taper_token is not None else None
-
-    est_tokens = [tok.strip() for tok in pop("estimators", "").split(",") if tok.strip()]
-    if not est_tokens:
-        raise DomainError("config must list at least one estimator")
+    source = _order_source(cfg.get("order", "auto"), "order")
     estimators = []
-    for tok in est_tokens:
+    for tok in filter(None, map(str.strip, cfg.get("estimators", "").split(","))):
         est = EstimatorSpec(tok)
         # the shared keys go to the kinds that use them; complete-true's
         # model is the generating one, which the runner supplies
         fitted = est.completed and tok != "complete-true"
         estimators.append(
-            replace(est, source=source if fitted else None, taper_d=taper_d if est.tapered else None)
+            replace(est, source=source if fitted else None,
+                    taper_d=cfg.get("taper_d") if est.tapered else None)
         )
-
-    kwargs: dict = {}
-    threshold = pop("threshold", None)
-    if threshold is not None:
-        kwargs["threshold"] = _number(float, threshold, "threshold")
-    window = pop("window", None)
-    m_token = pop("m", None)
-    if (window is None) != (m_token is None):
-        raise DomainError("smoothing needs both 'window' and 'm'")
-    if window is not None:
-        kwargs["smoothing"] = (window, _number(int, m_token, "m"))
-    for key in ("acf_lags", "acf_points"):
-        token = pop(key, None)
-        if token is not None:
-            kwargs[key] = _number(int, token, key)
-    if entries:
-        raise DomainError(f"unknown config keys: {', '.join(sorted(entries))}")
+    kwargs = {key: cfg[key] for key in ("threshold", "acf_lags", "acf_points") if key in cfg}
+    if "window" in cfg:
+        kwargs["smoothing"] = (cfg["window"], cfg["m"])
     return ExperimentSpec(
-        model=model,
-        n=n,
-        replications=replications,
-        estimators=tuple(estimators),
-        seed=seed,
+        model=builtin_models(cfg["model"], cfg.get("lambda")),
+        n=cfg["n"],
+        replications=cfg["B"],
+        estimators=estimators,
+        seed=cfg["seed"],
         **kwargs,
     )
 

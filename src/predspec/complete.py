@@ -27,6 +27,7 @@ from .core import (
     TimeSeries,
     _dft_rows,
     _frozen_array,
+    _integer,
     _periodogram_rows,
     _phase_sums,
 )
@@ -122,7 +123,7 @@ def _correction_rows(x: np.ndarray, a: np.ndarray, grid: FrequencyGrid) -> np.nd
 
 
 def _check_order(p: int, n: int) -> None:
-    if n < 1:
+    if _integer(n, "series length") < 1:
         raise DomainError("series length must be >= 1")
     if p > n:
         raise DomainError(f"closed form needs order p <= n (p={p}, n={n})")

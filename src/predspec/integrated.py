@@ -94,6 +94,10 @@ class SpectralMeanConfig:
     mode: Union[RiemannIntegral, FourierSum] = field(default_factory=RiemannIntegral)
     threshold: float | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.mode, (RiemannIntegral, FourierSum)):
+            raise DomainError(f"unknown quadrature mode {self.mode!r}")
+
     def grid_for(self, n: int) -> FrequencyGrid:
         """The evaluation grid this quadrature expects for a length-n series."""
         if isinstance(self.mode, RiemannIntegral):
@@ -126,11 +130,8 @@ def spectral_mean(
             raise DomainError(
                 "Riemann quadrature needs the estimate on its uniform midpoint grid"
             )
-    elif isinstance(cfg.mode, FourierSum):
-        if pg.grid.kind != "fourier":
-            raise DomainError("Fourier-sum quadrature needs the estimate on the Fourier grid")
-    else:
-        raise DomainError(f"unknown quadrature mode {cfg.mode!r}")
+    elif pg.grid.kind != "fourier":
+        raise DomainError("Fourier-sum quadrature needs the estimate on the Fourier grid")
     gw = np.asarray(g(w))
     if gw.shape != w.shape:
         raise DomainError("g must evaluate elementwise on the frequency array")
@@ -236,7 +237,10 @@ class SpectralFamily:
         return len(self.bounds)
 
 
-def ar_family(p: int, limit: float = 0.99) -> SpectralFamily:
+_AR_LIMIT = 0.99
+
+
+def ar_family(p: int) -> SpectralFamily:
     """AR(p) family with unit innovation variance: f = 1/|a_theta(w)|**2.
 
     The Whittle objective's minimizer over the coefficients does not depend
@@ -244,7 +248,7 @@ def ar_family(p: int, limit: float = 0.99) -> SpectralFamily:
     so the variance is profiled out rather than fitted.  `on_grid` builds
     the (|w|, p) phase table exp(-1j*j*w) once; each evaluation is then one
     contraction 1 - theta . table, the same bits as the AR transfer
-    polynomial.
+    polynomial.  Every coefficient is boxed to [-0.99, 0.99].
     """
     p = _integer(p, "family order")
     if p < 1:
@@ -259,7 +263,7 @@ def ar_family(p: int, limit: float = 0.99) -> SpectralFamily:
 
         return density
 
-    return SpectralFamily(on_grid=on_grid, bounds=((-limit, limit),) * p, name=f"ar({p})")
+    return SpectralFamily(on_grid=on_grid, bounds=((-_AR_LIMIT, _AR_LIMIT),) * p, name=f"ar({p})")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .core import CovarianceSequence, FrequencyGrid, TimeSeries
+from .core import CovarianceSequence, FrequencyGrid, TimeSeries, _integer
 from .exceptions import DomainError, NumericalError
 
 __all__ = [
@@ -39,6 +39,7 @@ def finite_predictor_coeffs(cov: CovarianceSequence, n: int, tau: int) -> np.nda
     a positive-definite factorization; no recursive shortcut is shared with
     the estimation code this serves as a reference for.
     """
+    n, tau = _integer(n, "window length"), _integer(tau, "prediction target tau")
     if n < 1:
         raise DomainError("window length must be >= 1")
     if 1 <= tau <= n:
@@ -53,22 +54,24 @@ def finite_predictor_coeffs(cov: CovarianceSequence, n: int, tau: int) -> np.nda
     return scipy.linalg.cho_solve(factor, rhs)
 
 
+_TAIL_TOL = 1e-8
+
+
 def predictive_dft_bruteforce(
     ts: TimeSeries,
     cov: CovarianceSequence,
     grid: FrequencyGrid,
     horizon: int = 200,
-    tail_tol: float = 1e-8,
 ) -> np.ndarray:
     """Extension transform by direct summation of predicted values.
 
     Backcasts x[tau] for tau = 0, -1, ..., 1-H and forecasts for
     tau = n+1, ..., n+H, sums n**-0.5 * xhat[tau] * exp(1j*tau*w), and
     verifies stability by recomputing at horizon 2H; a sup-norm change above
-    `tail_tol` raises, since it means the horizon truncation is visible.
+    1e-8 raises, since it means the horizon truncation is visible.
     Needs covariance lags up to n + 2*horizon - 1.
     """
-    if horizon < 1:
+    if _integer(horizon, "horizon") < 1:
         raise DomainError("horizon must be >= 1")
     n = ts.n
     needed = n + 2 * horizon - 1
@@ -94,7 +97,7 @@ def predictive_dft_bruteforce(
         return back + fwd
 
     doubled = transform(2 * horizon)
-    if np.max(np.abs(doubled - transform(horizon))) > tail_tol:
+    if np.max(np.abs(doubled - transform(horizon))) > _TAIL_TOL:
         raise NumericalError(
             "extension tail did not stabilize when the horizon doubled; "
             "increase the horizon or check the model's mixing"
@@ -142,9 +145,10 @@ def fejer_expected_periodogram(
     F_n(0) = n.  Midpoint quadrature on a 2*pi-periodic analytic integrand
     converges spectrally, so a few thousand points give ~machine accuracy.
     """
+    n = _integer(n, "series length")
     if n < 1:
         raise DomainError("series length must be >= 1")
-    if quadrature_points < 256:
+    if _integer(quadrature_points, "quadrature point count") < 256:
         raise DomainError("quadrature needs at least 256 points")
     lam = 2.0 * np.pi * (np.arange(quadrature_points) + 0.5) / quadrature_points
     u = omega - lam

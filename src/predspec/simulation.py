@@ -91,7 +91,7 @@ def builtin_models(which: str, lam: float | None = None) -> ArmaModel:
     """
     if which == "m1":
         if lam is None or not 0.0 < lam < 1.0:
-            raise DomainError("m1 needs a root modulus lam in (0, 1)")
+            raise DomainError("m1 needs a root modulus lambda in (0, 1)")
         return ArmaModel(ar=[0.0, -lam * lam], ma=[], sigma2=1.0)
     if which == "m2":
         if lam is not None:
@@ -101,7 +101,7 @@ def builtin_models(which: str, lam: float | None = None) -> ArmaModel:
             phi = np.convolve(phi, np.array([1.0, -root]))
         ar = -phi.real[1:]
         return ArmaModel(ar=ar, ma=[0.5, 0.5], sigma2=1.0)
-    raise DomainError(f"unknown builtin model {which!r}")
+    raise DomainError(f"unknown builtin model {which!r} (use m1 or m2)")
 
 
 @dataclass(frozen=True)
@@ -228,10 +228,6 @@ class _Prep:
             self.window = None if spec.smoothing is None else spectral_window(*spec.smoothing)
         truth = None
         if any(est.kind == "complete-true" for est in spec.estimators):
-            if spec.model.q != 0:
-                raise DomainError(
-                    "complete-true estimator is undefined for models with a moving-average part"
-                )
             truth = Explicit(spec.model.pure_ar())
         self.plans = _plans(spec.estimators, n, truth)
 

@@ -1,8 +1,10 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from predspec import (
     raw_periodogram,
     simulate_arma,
 )
-from predspec.cli import main, parse_experiment_config
+from predspec.cli import _CONFIG_KEYS, main, parse_experiment_config
 
 
 def _write_series(path, values, header=None):
@@ -241,6 +243,42 @@ def test_experiment_config_errors(tmp_path, capsys):
         bad.write_text(base + lam + extra + "\n")
         assert main(["experiment", str(bad)]) == 2, extra
         assert "error" in capsys.readouterr().err
+
+
+_BASE_CFG = "model = m1\nlambda = 0.9\nn = 16\nB = 10\nseed = 1\nestimators = regular\n"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (_BASE_CFG + "replications = 20\n", "'replications'"),
+        (_BASE_CFG.replace("m1\nlambda = 0.9", "m1:0.9"), "model"),
+        (_BASE_CFG + "n = 30\n", "'n'"),
+        (_BASE_CFG + "b = 20\n", "'B'"),
+        (_BASE_CFG.replace("B = 10\n", ""), "'B'"),
+    ],
+    ids=["replications", "model-parameter", "repeated-n", "repeated-B", "missing-B"],
+)
+def test_experiment_config_one_spelling_per_key(tmp_path, capsys, text, key):
+    # a second spelling or a repeated key would silently drop a value
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    assert main(["experiment", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_readme_config_example_parses():
+    # the documented keys and the parser's key table cannot drift apart
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Experiment config format", 1)[1].split("```\n", 2)[1]
+    optional = dict(re.findall(r"^# (\w+) = (\S+)", example, flags=re.M))
+    documented = re.findall(r"^(\w+) =", example, flags=re.M) + list(optional)
+    assert sorted(k.lower() for k in documented) == sorted(k.lower() for k in _CONFIG_KEYS)
+    spec = parse_experiment_config(example)
+    assert (spec.n, spec.replications, spec.seed) == (20, 5000, 3)
+    for key in optional:
+        enabled = {"window", "m"} if key in ("window", "m") else {key}  # smoothing needs both
+        parse_experiment_config(example + "".join(f"{k} = {optional[k]}\n" for k in enabled))
 
 
 def test_config_format_parse_roundtrip():

@@ -165,6 +165,9 @@ def test_spectral_mean_grid_mismatch_errors():
         spectral_mean(np.cos, pg_u, SpectralMeanConfig(mode=FourierSum()))
     with pytest.raises(DomainError):
         spectral_mean(np.cos, pg_u, SpectralMeanConfig(mode=RiemannIntegral(points=200)))
+    for mode in ("bogus", None):
+        with pytest.raises(DomainError, match="quadrature mode"):
+            SpectralMeanConfig(mode=mode)
 
 
 def test_riemann_points_floor():

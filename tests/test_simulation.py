@@ -24,7 +24,11 @@ from predspec import (
     ar_family,
     arma_expand,
     builtin_models,
+    fejer_expected_periodogram,
+    finite_predictor_coeffs,
     levinson_durbin,
+    predictive_dft_bruteforce,
+    predictive_dft_matrix,
     raw_periodogram,
     run_experiment,
     sample_autocov,
@@ -110,6 +114,7 @@ def test_experiment_spec_validation():
 
 _M1 = builtin_models("m1", 0.7)
 _TS = TimeSeries(np.sin(np.arange(20.0)))
+_COV = CovarianceSequence(0.5 ** np.arange(60.0))
 _SPEC = dict(model=_M1, n=20, replications=10, estimators=(EstimatorSpec("regular"),), seed=1)
 
 
@@ -146,13 +151,21 @@ _SPEC = dict(model=_M1, n=20, replications=10, estimators=(EstimatorSpec("regula
         lambda: run_experiment(ExperimentSpec(**_SPEC), threads=2.5),
         lambda: run_experiment(ExperimentSpec(**_SPEC), threads=True),
         lambda: run_experiment(ExperimentSpec(**_SPEC), threads="4"),
+        lambda: predictive_dft_matrix(ArModel([0.5], 1.0), 2.5, FrequencyGrid.fourier(4)),
+        lambda: finite_predictor_coeffs(_COV, 4.5, 0),
+        lambda: finite_predictor_coeffs(_COV, 4, 0.5),
+        lambda: predictive_dft_bruteforce(_TS, _COV, FrequencyGrid.fourier(20), horizon=2.5),
+        lambda: fejer_expected_periodogram(_M1.density, 2.5, 1.0),
+        lambda: fejer_expected_periodogram(_M1.density, 20, 1.0, quadrature_points=4096.0),
     ],
     ids=["window-m", "window-m-float64", "smoothing-m", "seed", "n", "replications",
          "acf-lags", "acf-points", "simulate-seed", "simulate-n", "split-seed", "split-index",
          "expand-M", "fourier-size", "uniform-size", "tukey-d", "autocov-lag",
          "levinson-order", "yule-walker-order", "aic-max-order", "acf-lags-float", "acf-lags-bool",
          "family-order-2.0", "family-order-2.5", "riemann-points", "riemann-points-str",
-         "whittle-init-str", "threads-float", "threads-bool", "threads-str"],
+         "whittle-init-str", "threads-float", "threads-bool", "threads-str",
+         "dft-matrix-n", "predictor-n", "predictor-tau", "bruteforce-horizon", "fejer-n",
+         "fejer-points"],
 )
 def test_non_integer_parameters_rejected(call):
     with pytest.raises(DomainError, match="must be an integer|must be a sequence of numbers"):
