@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.signal
 
-from .core import CovarianceSequence, TimeSeries, _autocov_rows, _frozen_array, _integer
+from .core import CovarianceSequence, TimeSeries, _autocov_rows, _integer, _positive, _vector
 from .exceptions import DomainError, NumericalError
 
 __all__ = [
@@ -65,13 +65,8 @@ class ArModel:
     sigma2: float
 
     def __post_init__(self):
-        a = _frozen_array(self, "coeffs", self.coeffs, float)
-        if a.ndim != 1:
-            raise DomainError("AR coefficients must be a 1-d array")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("AR coefficients must be finite")
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise DomainError("innovation variance must be positive and finite")
+        a = _vector(self, "coeffs", "AR coefficients", empty=True)
+        _positive(self.sigma2, "innovation variance")
         if a.size and np.max(np.abs(_recursion_roots(a))) >= _CAUSAL_RADIUS:
             raise DomainError("AR model is not causal (root on or inside the unit circle)")
 
@@ -103,11 +98,8 @@ class ArmaModel:
 
     def __post_init__(self):
         for name in ("ar", "ma"):
-            arr = _frozen_array(self, name, getattr(self, name), float)
-            if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-                raise DomainError(f"{name} coefficients must be a finite 1-d array")
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise DomainError("innovation variance must be positive and finite")
+            _vector(self, name, f"{name} coefficients", empty=True)
+        _positive(self.sigma2, "innovation variance")
         if self.ar.size and np.max(np.abs(_recursion_roots(self.ar))) >= _CAUSAL_RADIUS:
             raise DomainError("AR part is not causal")
         if self.ma.size and np.max(np.abs(_recursion_roots(-self.ma))) > 1.0 + 1e-10:
@@ -172,9 +164,7 @@ def _levinson_rows(c: np.ndarray, pmax: int):
 def levinson_durbin(cov: CovarianceSequence, p: int) -> ArModel:
     """Solve the order-p prediction equations from c(0..p) by the Levinson
     recursion; returns the fitted model with its innovation variance."""
-    if _integer(p, "order") < 0:
-        raise DomainError("order must be nonnegative")
-    if cov.max_lag < p:
+    if cov.max_lag < _integer(p, "order", 0):
         raise DomainError(f"need lags 0..{p}, covariance holds 0..{cov.max_lag}")
     coeffs, sigma2 = _levinson_rows(cov.lags[None], p)
     return ArModel(coeffs[0, p, :p], float(sigma2[0, p]))
@@ -183,7 +173,7 @@ def levinson_durbin(cov: CovarianceSequence, p: int) -> ArModel:
 def _yule_walker_rows(x: np.ndarray, p: int):
     """Levinson fits of orders 0..p to the sample autocovariances of each
     row of x (rows, n), assumed mean zero; see `_levinson_rows`."""
-    if _integer(p, "order") < 0 or p >= x.shape[-1]:
+    if _integer(p, "order", 0) >= x.shape[-1]:
         raise DomainError("order must satisfy 0 <= p < n")
     c = _autocov_rows(x, p)
     if (c[:, 0] <= 0.0).any():
@@ -207,7 +197,7 @@ class OrderSelection:
     model: ArModel
 
     def __post_init__(self):
-        vals = _frozen_array(self, "aic_values", self.aic_values, float)
+        vals = _vector(self, "aic_values", "criterion values")
         if not 1 <= self.chosen_p <= self.k_n:
             raise DomainError("selected order must lie in 1..k_n")
         if vals.size != self.k_n:
@@ -227,8 +217,8 @@ def _aic_rows(x: np.ndarray, max_order: int | None = None):
     if max_order is None:
         k_n = min(max(int(n**0.4), 1), n - 2)
     else:
-        k_n = _integer(max_order, "max_order")
-        if k_n < 1 or k_n >= n - 1:
+        k_n = _integer(max_order, "max_order", 1)
+        if k_n >= n - 1:
             raise DomainError("max_order must satisfy 1 <= max_order <= n-2")
     coeffs, sigma2 = _yule_walker_rows(x, k_n)
 
@@ -327,8 +317,8 @@ def arma_expand(model: ArmaModel, M: int | None = None) -> ArmaExpansion:
     """
     if model.q and np.max(np.abs(_recursion_roots(-model.ma))) >= _CAUSAL_RADIUS:
         raise DomainError("AR-series expansion requires a strictly invertible MA polynomial")
-    if M is not None and _integer(M, "expansion length") < 1:
-        raise DomainError("expansion length must be >= 1")
+    if M is not None:
+        _integer(M, "expansion length", 1)
     impulse = np.zeros((_EXPAND_CAP if M is None else M) + 1)
     impulse[0] = 1.0
     ar_inf = -scipy.signal.lfilter(*_polynomials(model), impulse)[1:]

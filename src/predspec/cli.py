@@ -222,7 +222,7 @@ def _cmd_acf(args, argv) -> int:
 def _cmd_whittle(args, argv) -> int:
     ts = _load_input(args)
     name, _, param = args.family.partition(":")
-    if name.strip().lower() != "ar" or not param:
+    if name != "ar" or not param:
         raise DomainError("family must be 'ar:P' for an AR(P) spectral family")
     family = ar_family(_number(int, param, "the family order"))
     if args.init is not None:

@@ -26,10 +26,11 @@ from .core import (
     Taper,
     TimeSeries,
     _dft_rows,
-    _frozen_array,
     _integer,
     _periodogram_rows,
     _phase_sums,
+    _positive,
+    _vector,
 )
 from .exceptions import DomainError, NumericalError
 
@@ -61,11 +62,7 @@ class TruncatedInfinite:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = _frozen_array(self, "coeffs", self.coeffs, float)
-        if c.ndim != 1 or c.size < 1:
-            raise DomainError("coefficient sequence must be a non-empty 1-d array")
-        if not np.all(np.isfinite(c)):
-            raise DomainError("coefficient sequence must be finite")
+        _vector(self, "coeffs", "coefficient sequence")
 
 
 @dataclass(frozen=True)
@@ -123,9 +120,7 @@ def _correction_rows(x: np.ndarray, a: np.ndarray, grid: FrequencyGrid) -> np.nd
 
 
 def _check_order(p: int, n: int) -> None:
-    if _integer(n, "series length") < 1:
-        raise DomainError("series length must be >= 1")
-    if p > n:
+    if p > _integer(n, "series length", 1):
         raise DomainError(f"closed form needs order p <= n (p={p}, n={n})")
 
 
@@ -258,8 +253,7 @@ def threshold_real(pg: PeriodogramEstimate, delta: float) -> PeriodogramEstimate
     real part usable wherever positivity is required: integrated means,
     autocovariance estimates, division by the estimate.
     """
-    if not (np.isfinite(delta) and delta > 0.0):
-        raise DomainError("threshold must be positive and finite")
+    delta = _positive(delta, "threshold")
     vals = np.maximum(pg.values.real, delta).astype(complex)
     meta = replace(pg.meta, threshold=delta)
     return PeriodogramEstimate(pg.grid, vals, kind="thresholded-real", meta=meta)

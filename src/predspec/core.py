@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -37,22 +38,45 @@ __all__ = [
 ]
 
 
-def _frozen_array(obj, attr: str, values, dtype) -> np.ndarray:
-    """Attach a read-only ndarray copy to a frozen dataclass."""
-    arr = np.array(values, dtype=dtype)
+def _vector(obj, attr: str, what: str, dtype=float, empty: bool = False) -> np.ndarray:
+    """Replace a frozen dataclass's `attr` by a read-only 1-d ndarray copy.
+
+    Raises DomainError unless the values are finite numbers forming a 1-d
+    array, non-empty unless `empty` allows it.
+    """
+    try:
+        arr = np.array(getattr(obj, attr), dtype=dtype)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be an array of numbers") from None
+    if arr.ndim != 1 or (arr.size < 1 and not empty):
+        raise DomainError(f"{what} must be a {'' if empty else 'non-empty '}1-d array")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what} must be finite")
     arr.setflags(write=False)
     object.__setattr__(obj, attr, arr)
     return arr
 
 
-def _integer(value, name: str) -> int:
-    """`value` as an int, or DomainError when it is not an integer (e.g. 2.5, 2.0 or True)."""
+def _integer(value, name: str, least: int | None = None) -> int:
+    """`value` as an int, or DomainError when it is not an integer (e.g. 2.5,
+    2.0 or True) or is below `least`."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
+        else:
+            if least is not None and value < least:
+                raise DomainError(f"{name} must be >= {least}, got {value}")
+            return value
     raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _positive(value, name: str) -> float:
+    """`value` as a float, or DomainError unless it is a finite real number > 0 (not a bool)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 < value < math.inf:
+        return float(value)
+    raise DomainError(f"{name} must be a positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -66,11 +90,7 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen_array(self, "values", self.values, float)
-        if v.ndim != 1 or v.size < 1:
-            raise DomainError("time series must be a non-empty 1-d array")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("time series contains non-finite values")
+        _vector(self, "values", "time series")
 
     @property
     def n(self) -> int:
@@ -90,8 +110,7 @@ class TimeSeries:
 
 def _lattice(M: int, kind: str) -> np.ndarray:
     """2*pi*k/M ("fourier") or 2*pi*(k + 0.5)/M ("uniform") for k = 0..M-1."""
-    if _integer(M, f"{kind} grid size") < 1:
-        raise DomainError(f"{kind} grid needs at least one frequency")
+    _integer(M, f"{kind} grid size", 1)
     return TWO_PI * (np.arange(M) + (0.5 if kind == "uniform" else 0.0)) / M
 
 
@@ -108,11 +127,7 @@ class FrequencyGrid:
     kind: str = "explicit"
 
     def __post_init__(self):
-        w = _frozen_array(self, "frequencies", self.frequencies, float)
-        if w.ndim != 1 or w.size < 1:
-            raise DomainError("frequency grid must be a non-empty 1-d array")
-        if not np.all(np.isfinite(w)):
-            raise DomainError("frequency grid contains non-finite values")
+        w = _vector(self, "frequencies", "frequency grid")
         if np.any(w < 0.0) or np.any(w >= TWO_PI):
             raise DomainError("frequencies must lie in [0, 2*pi)")
         if w.size > 1 and np.any(np.diff(w) <= 0.0):
@@ -153,11 +168,7 @@ class CovarianceSequence:
     estimator: str = "biased-sample"
 
     def __post_init__(self):
-        c = _frozen_array(self, "lags", self.lags, float)
-        if c.ndim != 1 or c.size < 1:
-            raise DomainError("covariance sequence must be a non-empty 1-d array")
-        if not np.all(np.isfinite(c)):
-            raise DomainError("covariance sequence contains non-finite values")
+        c = _vector(self, "lags", "covariance sequence")
         if self.estimator not in ("population", "biased-sample"):
             raise DomainError(f"unknown covariance estimator {self.estimator!r}")
         c0 = c[0]
@@ -175,9 +186,7 @@ class CovarianceSequence:
 
     def toeplitz(self, n: int) -> np.ndarray:
         """The n-by-n covariance matrix [c(i - j)] (needs max_lag >= n - 1)."""
-        if n < 1:
-            raise DomainError("matrix dimension must be >= 1")
-        if self.max_lag < n - 1:
+        if self.max_lag < _integer(n, "matrix dimension", 1) - 1:
             raise DomainError(
                 f"covariance sequence holds lags 0..{self.max_lag}, need 0..{n - 1}"
             )
@@ -198,16 +207,14 @@ class Taper:
     description: str = ""
 
     def __post_init__(self):
-        h = _frozen_array(self, "weights", self.weights, float)
-        if h.ndim != 1 or h.size < 1:
-            raise DomainError("taper weights must be a non-empty 1-d array")
-        if not np.all(np.isfinite(h)) or np.any(h < 0.0):
-            raise DomainError("taper weights must be finite and nonnegative")
+        h = _vector(self, "weights", "taper weights")
+        if np.any(h < 0.0):
+            raise DomainError("taper weights must be nonnegative")
         n = h.size
         if abs(float(h.sum()) - n) > 1e-9 * n:
             raise DomainError("taper weights must sum to n")
-        if not (self.h1 > 0.0 and self.h2 > 0.0):
-            raise DomainError("taper moments must be positive")
+        _positive(self.h1, "taper moment h1")
+        _positive(self.h2, "taper moment h2")
 
     @property
     def n(self) -> int:
@@ -221,10 +228,8 @@ def tukey_taper(n: int, d: int) -> Taper:
     d points mirror it; everything between is 1.  Weights are rescaled by
     n / h1 so they sum to n; h1, h2 are moments of the raw shape.
     """
-    n, d = _integer(n, "taper length"), _integer(d, "rise length d")
-    if n < 1:
-        raise DomainError("taper length must be >= 1")
-    if d < 1 or 2 * d > n:
+    n, d = _integer(n, "taper length", 1), _integer(d, "rise length d", 1)
+    if 2 * d > n:
         raise DomainError("rise length d must satisfy 1 <= d <= n/2")
     t = np.arange(1, n + 1, dtype=float)
     shape = np.ones(n)
@@ -272,20 +277,18 @@ class PeriodogramEstimate:
     meta: PgMeta = PgMeta()
 
     def __post_init__(self):
-        v = _frozen_array(self, "values", self.values, complex)
-        if v.ndim != 1 or v.size != self.grid.size:
+        v = _vector(self, "values", "periodogram values", complex)
+        if v.size != self.grid.size:
             raise DomainError("periodogram values must match the grid length")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("periodogram values contain non-finite entries")
         if self.kind not in _PG_KINDS:
             raise DomainError(f"unknown periodogram kind {self.kind!r}")
         if self.kind in ("regular", "tapered"):
             if np.any(v.imag != 0.0) or np.any(v.real < 0.0):
                 raise DomainError(f"{self.kind} periodogram must be real and nonnegative")
         if self.kind == "thresholded-real":
-            delta = self.meta.threshold
-            if delta is None:
+            if self.meta.threshold is None:
                 raise DomainError("thresholded-real estimate must record its threshold")
+            delta = _positive(self.meta.threshold, "recorded threshold")
             if np.any(v.imag != 0.0) or np.any(v.real < delta * (1.0 - 1e-12)):
                 raise DomainError("thresholded-real values must be real and >= threshold")
 
@@ -305,9 +308,7 @@ def sample_autocov(ts: TimeSeries, max_lag: int) -> CovarianceSequence:
     c(k) = n**-1 * sum_{t=1..n-k} x[t] * x[t+k] for k = 0..max_lag.  The
     series is used as given; remove the mean first if it is not known to be 0.
     """
-    if _integer(max_lag, "max_lag") < 0:
-        raise DomainError("max_lag must be nonnegative")
-    if max_lag >= ts.n:
+    if _integer(max_lag, "max_lag", 0) >= ts.n:
         raise DomainError("lag exceeds sample")
     return CovarianceSequence(_autocov_rows(ts.values[None], max_lag)[0], estimator="biased-sample")
 

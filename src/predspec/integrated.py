@@ -13,7 +13,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .arfit import _ar_phases
-from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries, _frozen_array, _integer
+from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries, _integer, _positive, _vector
 from .complete import threshold_real
 from .estimators import EstimatorSpec, evaluate_estimator
 from .exceptions import DomainError, NumericalError
@@ -43,7 +43,7 @@ class SpectralWindow:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _frozen_array(self, "weights", self.weights, float)
+        w = _vector(self, "weights", "window weights")
         if w.size != 2 * self.m + 1:
             raise DomainError("window must hold 2m+1 weights")
         if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-12:
@@ -57,9 +57,7 @@ def spectral_window(kind: str, m: int) -> SpectralWindow:
     Hann is 0.5*(1 - cos(pi*(j+m)/m)).  At m = 2 Bartlett and Hann coincide
     after normalization.
     """
-    m = _integer(m, "window half-width m")
-    if m < 1:
-        raise DomainError("window half-width m must be >= 1")
+    m = _integer(m, "window half-width m", 1)
     j = np.arange(-m, m + 1, dtype=float)
     if kind == "daniell":
         raw = np.ones(2 * m + 1)
@@ -79,9 +77,7 @@ class RiemannIntegral:
     points: int = 500
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _integer(self.points, "Riemann cell count"))
-        if self.points < 8:
-            raise DomainError("Riemann rule needs at least 8 cells")
+        object.__setattr__(self, "points", _integer(self.points, "Riemann cell count", 8))
 
 
 @dataclass(frozen=True)
@@ -97,6 +93,8 @@ class SpectralMeanConfig:
     def __post_init__(self):
         if not isinstance(self.mode, (RiemannIntegral, FourierSum)):
             raise DomainError(f"unknown quadrature mode {self.mode!r}")
+        if self.threshold is not None:
+            object.__setattr__(self, "threshold", _positive(self.threshold, "threshold"))
 
     def grid_for(self, n: int) -> FrequencyGrid:
         """The evaluation grid this quadrature expects for a length-n series."""
@@ -145,7 +143,14 @@ def _cosine_table(freqs: np.ndarray, lags: int) -> np.ndarray:
 
 def _cosine_moments(vals: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Grid means of cos(r*w) * vals along the last axis, from `_cosine_table`."""
-    return vals @ table / table.shape[0]
+    # one row-by-table product per row, the same bits for one series as for a block
+    return (vals[..., None, :] @ table)[..., 0, :] / table.shape[0]
+
+
+def _check_window_fits(window: SpectralWindow, n: int) -> None:
+    """DomainError unless the window's 2m+1 offsets fit on an n-point grid."""
+    if 2 * window.m + 1 > n:
+        raise DomainError("window wider than the frequency grid")
 
 
 def _smooth_rows(vals: np.ndarray, window: SpectralWindow) -> np.ndarray:
@@ -177,9 +182,7 @@ def acf_estimate(
     Riemann rule approximates the plain biased ones.  Thresholding (set it
     in `cfg` for completed kinds) guarantees a positive c(0).
     """
-    if _integer(lags, "lag count") < 0:
-        raise DomainError("lag count must be nonnegative")
-    if lags >= ts.n:
+    if _integer(lags, "lag count", 0) >= ts.n:
         raise DomainError("lag range must stay below the series length")
     grid = cfg.grid_for(ts.n)
     pg = evaluate_estimator(ts, estimator, grid)
@@ -199,9 +202,7 @@ def smooth_periodogram(pg: PeriodogramEstimate, window: SpectralWindow) -> Perio
     """
     if pg.grid.kind != "fourier":
         raise DomainError("smoothing is defined over the Fourier grid")
-    n = pg.grid.size
-    if 2 * window.m + 1 > n:
-        raise DomainError("window wider than the frequency grid")
+    _check_window_fits(window, pg.grid.size)
     out = _smooth_rows(pg.values.real, window)
     meta = replace(pg.meta, window=f"{window.kind}(m={window.m})")
     return PeriodogramEstimate(pg.grid, out.astype(complex), kind=pg.kind, meta=meta)
@@ -250,9 +251,7 @@ def ar_family(p: int) -> SpectralFamily:
     contraction 1 - theta . table, the same bits as the AR transfer
     polynomial.  Every coefficient is boxed to [-0.99, 0.99].
     """
-    p = _integer(p, "family order")
-    if p < 1:
-        raise DomainError("family order must be >= 1")
+    p = _integer(p, "family order", 1)
 
     def on_grid(w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         phases = _ar_phases(w, p)

@@ -39,9 +39,7 @@ def finite_predictor_coeffs(cov: CovarianceSequence, n: int, tau: int) -> np.nda
     a positive-definite factorization; no recursive shortcut is shared with
     the estimation code this serves as a reference for.
     """
-    n, tau = _integer(n, "window length"), _integer(tau, "prediction target tau")
-    if n < 1:
-        raise DomainError("window length must be >= 1")
+    n, tau = _integer(n, "window length", 1), _integer(tau, "prediction target tau")
     if 1 <= tau <= n:
         raise DomainError("prediction target must lie outside the observed window 1..n")
     needed = max(abs(tau - 1), abs(tau - n))
@@ -71,8 +69,7 @@ def predictive_dft_bruteforce(
     1e-8 raises, since it means the horizon truncation is visible.
     Needs covariance lags up to n + 2*horizon - 1.
     """
-    if _integer(horizon, "horizon") < 1:
-        raise DomainError("horizon must be >= 1")
+    _integer(horizon, "horizon", 1)
     n = ts.n
     needed = n + 2 * horizon - 1
     if cov.max_lag < needed:
@@ -145,11 +142,8 @@ def fejer_expected_periodogram(
     F_n(0) = n.  Midpoint quadrature on a 2*pi-periodic analytic integrand
     converges spectrally, so a few thousand points give ~machine accuracy.
     """
-    n = _integer(n, "series length")
-    if n < 1:
-        raise DomainError("series length must be >= 1")
-    if _integer(quadrature_points, "quadrature point count") < 256:
-        raise DomainError("quadrature needs at least 256 points")
+    n = _integer(n, "series length", 1)
+    _integer(quadrature_points, "quadrature point count", 256)
     lam = 2.0 * np.pi * (np.arange(quadrature_points) + 0.5) / quadrature_points
     u = omega - lam
     s = np.sin(u / 2.0)

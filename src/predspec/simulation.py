@@ -10,7 +10,6 @@ bit-identical tables on every run.
 """
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -19,10 +18,17 @@ import scipy.signal
 
 from .arfit import ArmaModel, _arma_autocov, _polynomials
 from .complete import Explicit, _estimate_block
-from .core import FrequencyGrid, TimeSeries, _integer
+from .core import FrequencyGrid, TimeSeries, _integer, _positive
 from .estimators import EstimatorSpec, _plans
 from .exceptions import DomainError
-from .integrated import _cosine_moments, _cosine_table, _smooth_rows, spectral_window
+from .integrated import (
+    RiemannIntegral,
+    _check_window_fits,
+    _cosine_moments,
+    _cosine_table,
+    _smooth_rows,
+    spectral_window,
+)
 
 __all__ = [
     "split_seed",
@@ -47,8 +53,7 @@ def split_seed(seed: int, index: int) -> int:
     constants are the standard ones, fixed here so any reimplementation can
     reproduce the same stream assignment.
     """
-    if _integer(index, "replication index") < 0:
-        raise DomainError("replication index must be nonnegative")
+    index = _integer(index, "replication index", 0)
     z = (_integer(seed, "seed") + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
@@ -73,11 +78,7 @@ def simulate_arma(model: ArmaModel, n: int, seed: int) -> TimeSeries:
     float precision for any model admissible under the causality margin.
     Identical (model, n, seed) inputs give bit-identical output.
     """
-    n, seed = _integer(n, "sample length"), _integer(seed, "seed")
-    if n < 1:
-        raise DomainError("sample length must be >= 1")
-    if seed < 0:
-        raise DomainError("seed must be a nonnegative integer")
+    n, seed = _integer(n, "sample length", 1), _integer(seed, "seed", 0)
     return TimeSeries(_simulate_rows(model, n, [seed])[0])
 
 
@@ -90,7 +91,7 @@ def builtin_models(which: str, lam: float | None = None) -> ArmaModel:
     pair 0.9*exp(+-1j), MA part 1 + 0.5z + 0.5z**2, unit innovation variance.
     """
     if which == "m1":
-        if lam is None or not 0.0 < lam < 1.0:
+        if lam is None or not _positive(lam, "m1 root modulus lambda") < 1.0:
             raise DomainError("m1 needs a root modulus lambda in (0, 1)")
         return ArmaModel(ar=[0.0, -lam * lam], ma=[], sigma2=1.0)
     if which == "m2":
@@ -135,13 +136,11 @@ class ExperimentSpec:
             object.__setattr__(self, "estimators", tuple(self.estimators))
         except TypeError:
             raise DomainError("estimators must be a sequence of EstimatorSpec instances") from None
-        for name in ("n", "replications", "seed", "acf_lags", "acf_points"):
+        for name, least in (("n", 4), ("replications", 1), ("seed", 0), ("acf_lags", 1)):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.n < 4:
-            raise DomainError("experiments need n >= 4")
-        if self.replications < 1:
-            raise DomainError("need at least one replication")
+                object.__setattr__(self, name, _integer(getattr(self, name), name, least))
+        object.__setattr__(self, "acf_points", RiemannIntegral(self.acf_points).points)
+        object.__setattr__(self, "threshold", _positive(self.threshold, "threshold"))
         if not self.estimators:
             raise DomainError("need at least one estimator")
         for est in self.estimators:
@@ -149,25 +148,18 @@ class ExperimentSpec:
                 raise DomainError("estimators must be EstimatorSpec instances")
             if est.kind == "complete-true" and est.source is not None:
                 raise DomainError("complete-true uses the generating model; give it no source")
-        if self.seed < 0:
-            raise DomainError("seed must be a nonnegative integer")
-        if not (isinstance(self.threshold, numbers.Real) and np.isfinite(self.threshold) and self.threshold > 0.0):
-            raise DomainError("threshold must be a positive finite number")
         if self.smoothing is not None:
             try:
                 kind, m = self.smoothing
             except (TypeError, ValueError):
                 raise DomainError("smoothing must be a (window kind, m) pair") from None
-            object.__setattr__(self, "smoothing", (kind, spectral_window(kind, m).m))
-            if 2 * self.smoothing[1] + 1 > self.n:
-                raise DomainError("window wider than the frequency grid")
+            window = spectral_window(kind, m)
+            _check_window_fits(window, self.n)
+            object.__setattr__(self, "smoothing", (kind, window.m))
             if self.acf_lags is not None:
                 raise DomainError("smoothing and ACF modes are mutually exclusive")
-        if self.acf_lags is not None:
-            if not 1 <= self.acf_lags < self.n:
-                raise DomainError("acf_lags must satisfy 1 <= lags < n")
-            if self.acf_points < 8:
-                raise DomainError("acf_points must be >= 8")
+        if self.acf_lags is not None and self.acf_lags >= self.n:
+            raise DomainError("acf_lags must satisfy 1 <= lags < n")
 
 
 @dataclass(frozen=True)
@@ -296,8 +288,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> MetricTable:
     estimators of the experiment.  `threads` (>= 1) is accepted for
     compatibility and has no effect: the table does not depend on it.
     """
-    if _integer(threads, "threads") < 1:
-        raise DomainError("threads must be >= 1")
+    _integer(threads, "threads", 1)
     start = time.perf_counter()
     prep = _Prep(spec)  # validates estimator/model compatibility up front
     B = spec.replications

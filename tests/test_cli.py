@@ -84,6 +84,9 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["periodogram", str(good), "--grid", "uniform:abc"],
         ["simulate", "--model", "m1:abc", "--n", "5", "--seed", "1"],
         ["whittle", str(good), "--family", "ar:two"],
+        # one spelling of the family name: no case or space folding
+        ["whittle", str(good), "--family", "AR:2"],
+        ["whittle", str(good), "--family", " ar :2"],
         ["whittle", str(good), "--family", "ar:2", "--init", "0.1,x"],
         # as many parameters as values: rejected before any table is built
         ["whittle", str(good), "--family", "ar:32"],
@@ -298,6 +301,12 @@ def test_config_format_parse_roundtrip():
 
 def test_verify_subcommand_runs(capsys):
     assert main(["verify", "--suite", "unbiasedness"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_oracle_suite_runs(capsys):
+    assert main(["verify", "--suite", "oracle"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
 

@@ -10,17 +10,22 @@ from predspec import (
     ArModel,
     AutoAIC,
     EstimatorSpec,
+    ExperimentSpec,
     Explicit,
     FixedOrder,
     FrequencyGrid,
+    RiemannIntegral,
+    SpectralMeanConfig,
     TimeSeries,
     TruncatedInfinite,
+    acf_estimate,
+    builtin_models,
     evaluate_estimator,
 )
 from predspec.arfit import _aic_rows
 from predspec.complete import _estimate_block
 from predspec.estimators import _plans
-from predspec.simulation import _simulate_rows
+from predspec.simulation import _Prep, _simulate_rows
 
 
 def _reflection_ar(ks) -> np.ndarray:
@@ -87,6 +92,27 @@ def test_block_rows_match_single_series_on_large_blocks():
     x = _simulate_rows(ArmaModel(a, [], 1.0), 50, range(40))
     specs = [EstimatorSpec("complete-true", source=Explicit(ArModel(a, 1.0))), EstimatorSpec("tapered-complete")]
     _assert_block_matches_single(specs, x, FrequencyGrid.uniform(500))
+
+
+def test_acf_block_rows_match_acf_estimate():
+    """The runner's autocorrelation rows equal `acf_estimate` on each series
+    bit for bit, in a block of 32 rows as in a block of one."""
+    model = builtin_models("m1", 0.9)
+    truth = Explicit(model.pure_ar())
+    specs = (EstimatorSpec("regular"), EstimatorSpec("tapered"), EstimatorSpec("complete-true"),
+             EstimatorSpec("complete"), EstimatorSpec("tapered-complete"))
+    spec = ExperimentSpec(model=model, n=20, replications=32, estimators=specs, seed=3, acf_lags=5)
+    prep = _Prep(spec)
+    x = _simulate_rows(model, spec.n, range(32))
+    for rows in (1, 32):
+        block = _estimate_block(prep.plans, x[:rows], prep.grid)
+        for est, (values, _) in zip(specs, block):
+            got = prep.reduce(est, values)
+            single = EstimatorSpec(est.kind, source=truth) if est.kind == "complete-true" else est
+            cfg = SpectralMeanConfig(RiemannIntegral(spec.acf_points), spec.threshold if est.completed else None)
+            for row, acf in zip(x[:rows], got):
+                np.testing.assert_array_equal(acf, acf_estimate(TimeSeries(row), 5, single, cfg)[1][1:],
+                                              err_msg=f"{est.label}, block of {rows}")
 
 
 @st.composite

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from predspec import (
+    ArmaModel,
     ArModel,
     AutoAIC,
     CovarianceSequence,
@@ -16,8 +17,11 @@ from predspec import (
     Explicit,
     FixedOrder,
     FrequencyGrid,
+    PeriodogramEstimate,
+    PgMeta,
     RiemannIntegral,
     SpectralMeanConfig,
+    Taper,
     TimeSeries,
     acf_estimate,
     aic_select,
@@ -35,6 +39,7 @@ from predspec import (
     simulate_arma,
     spectral_window,
     split_seed,
+    threshold_real,
     tukey_taper,
     whittle_fit,
     yule_walker_fit,
@@ -71,6 +76,14 @@ def test_simulate_validation():
         simulate_arma(m, 0, 1)
     with pytest.raises(DomainError):
         simulate_arma(m, 10, -1)
+
+
+def test_simulate_scales_innovations_by_sigma():
+    """sigma2 = 4 doubles every innovation, so the path is exactly twice the
+    unit-variance path from the same seed."""
+    ar, ma = [0.5, -0.3], [0.4]
+    unit = simulate_arma(ArmaModel(ar, ma, 1.0), 60, 11).values
+    np.testing.assert_array_equal(simulate_arma(ArmaModel(ar, ma, 4.0), 60, 11).values, 2.0 * unit)
 
 
 def test_simulate_variance_matches_model():
@@ -157,6 +170,7 @@ _SPEC = dict(model=_M1, n=20, replications=10, estimators=(EstimatorSpec("regula
         lambda: predictive_dft_bruteforce(_TS, _COV, FrequencyGrid.fourier(20), horizon=2.5),
         lambda: fejer_expected_periodogram(_M1.density, 2.5, 1.0),
         lambda: fejer_expected_periodogram(_M1.density, 20, 1.0, quadrature_points=4096.0),
+        lambda: _COV.toeplitz(2.5),
     ],
     ids=["window-m", "window-m-float64", "smoothing-m", "seed", "n", "replications",
          "acf-lags", "acf-points", "simulate-seed", "simulate-n", "split-seed", "split-index",
@@ -165,10 +179,37 @@ _SPEC = dict(model=_M1, n=20, replications=10, estimators=(EstimatorSpec("regula
          "family-order-2.0", "family-order-2.5", "riemann-points", "riemann-points-str",
          "whittle-init-str", "threads-float", "threads-bool", "threads-str",
          "dft-matrix-n", "predictor-n", "predictor-tau", "bruteforce-horizon", "fejer-n",
-         "fejer-points"],
+         "fejer-points", "toeplitz-n"],
 )
 def test_non_integer_parameters_rejected(call):
     with pytest.raises(DomainError, match="must be an integer|must be a sequence of numbers"):
+        call()
+
+
+_PG = raw_periodogram(_TS, FrequencyGrid.fourier(20))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: threshold_real(_PG, "a"),
+        lambda: threshold_real(_PG, [1e-3]),
+        lambda: threshold_real(_PG, True),
+        lambda: acf_estimate(_TS, 2, EstimatorSpec("regular"), SpectralMeanConfig(threshold=[1e-3])),
+        lambda: SpectralMeanConfig(threshold=-1.0),
+        lambda: ArModel([0.5], True),
+        lambda: ArModel([0.5], "x"),
+        lambda: ArmaModel([0.5], [], [1.0]),
+        lambda: Taper(np.ones(4), h1="x", h2=4.0),
+        lambda: builtin_models("m1", "0.5"),
+        lambda: PeriodogramEstimate(_PG.grid, _PG.values, "thresholded-real", PgMeta(threshold="a")),
+    ],
+    ids=["threshold-str", "threshold-list", "threshold-bool", "mean-config-threshold-list",
+         "mean-config-threshold-negative", "ar-sigma2-bool", "ar-sigma2-str", "arma-sigma2-list",
+         "taper-h1-str", "m1-lambda-str", "recorded-threshold-str"],
+)
+def test_non_positive_numbers_rejected(call):
+    with pytest.raises(DomainError, match="must be a positive finite number"):
         call()
 
 
@@ -180,11 +221,12 @@ def test_non_integer_parameters_rejected(call):
         {"smoothing": ("hann", 2, 3)},
         {"smoothing": 2},
         {"threshold": "a"},
+        {"threshold": True},
         {"estimators": EstimatorSpec("regular")},
         {"estimators": ("regular",)},
     ],
     ids=["model-str", "smoothing-single", "smoothing-triple", "smoothing-int", "threshold-str",
-         "estimators-single-spec", "estimators-kind-names"],
+         "threshold-bool", "estimators-single-spec", "estimators-kind-names"],
 )
 def test_malformed_experiment_spec_rejected(changes):
     with pytest.raises(DomainError):
