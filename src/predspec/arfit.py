@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .core import CovarianceSequence, TimeSeries, _autocov_rows, _integer, _positive, _vector
 from .exceptions import DomainError, NumericalError
@@ -274,6 +273,19 @@ def _polynomials(model: ArmaModel):
     return np.concatenate(([1.0], -model.ar)), np.concatenate(([1.0], model.ma))
 
 
+def _filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The rational filter b(B)/a(B) run over the last axis of x from zero state.
+
+    This is `scipy.signal.lfilter`, the one ARMA filter of the simulator and
+    the expansions.  Importing `scipy.signal` costs more than the rest of
+    predspec, so it is imported here, on the first filter, and an analysis
+    that filters nothing never loads it.
+    """
+    import scipy.signal
+
+    return scipy.signal.lfilter(b, a, x)
+
+
 def _ma_weights(model: ArmaModel) -> np.ndarray:
     """MA-representation weights b_0=1, b_1, ... through the first run of
     1+P+Q weights past b_0 that all fall below 1e-14.
@@ -289,7 +301,7 @@ def _ma_weights(model: ArmaModel) -> np.ndarray:
     while True:
         impulse = np.zeros(min(steps, _MA_TAIL_CAP) + 1)
         impulse[0] = 1.0
-        b = scipy.signal.lfilter(psi, phi, impulse)
+        b = _filter(psi, phi, impulse)
         big = np.cumsum(~(np.abs(b) < 1e-14))  # weights not below 1e-14 up to each step
         hits = np.flatnonzero(big[window:] == big[:-window])  # runs of small weights ending at window + hit
         if hits.size:
@@ -321,7 +333,7 @@ def arma_expand(model: ArmaModel, M: int | None = None) -> ArmaExpansion:
         _integer(M, "expansion length", 1)
     impulse = np.zeros((_EXPAND_CAP if M is None else M) + 1)
     impulse[0] = 1.0
-    ar_inf = -scipy.signal.lfilter(*_polynomials(model), impulse)[1:]
+    ar_inf = -_filter(*_polynomials(model), impulse)[1:]
     if M is None:
         keep = np.nonzero(np.abs(ar_inf) >= 1e-12)[0]
         M = int(keep[-1]) + 1 if keep.size else 1

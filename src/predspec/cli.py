@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 
@@ -100,13 +101,22 @@ def _comment(argv: list) -> str:
 
 # ------------------------------------------------------------- flag plumbing
 
+# The one spelling of a number in a flag or a config value: ASCII digits, an
+# optional leading minus, and for floats a decimal point and an exponent.
+# Python's int() and float() would also take underscores ("1_0"), a leading
+# "+", surrounding spaces, other scripts' digits and "inf"/"nan".
+_SPELLINGS = {
+    int: re.compile(r"-?[0-9]+"),
+    float: re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"),
+}
+
+
 def _number(kind, token: str, what: str):
     """kind(token) (int, float or str), reporting a malformed token as bad input."""
-    try:
+    if kind is str or _SPELLINGS[kind].fullmatch(token):
         return kind(token)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise DomainError(f"{what} must be {noun}, got {token!r}") from None
+    noun = "an integer" if kind is int else "a number"
+    raise DomainError(f"{what} must be {noun}, got {token!r}")
 
 
 def _parse_model_token(token: str) -> ArmaModel:
@@ -133,7 +143,8 @@ def _order_source(token: str, what: str):
 
 def _estimator_from_flags(args) -> EstimatorSpec:
     source = None if args.order is None else _order_source(args.order, "--order")
-    return EstimatorSpec(kind=args.kind, source=source, taper_d=args.taper_d)
+    taper_d = None if args.taper_d is None else _number(int, args.taper_d, "--taper-d")
+    return EstimatorSpec(kind=args.kind, source=source, taper_d=taper_d)
 
 
 def _add_series_flags(p: argparse.ArgumentParser) -> None:
@@ -143,7 +154,7 @@ def _add_series_flags(p: argparse.ArgumentParser) -> None:
                    default="regular", help="periodogram variant")
     p.add_argument("--order", default=None,
                    help="AR order for the fitted kinds: 'auto' (AIC, the default) or an integer")
-    p.add_argument("--taper-d", dest="taper_d", type=int, default=None,
+    p.add_argument("--taper-d", dest="taper_d", default=None,
                    help="taper rise length (default: ceil(n/10))")
     p.add_argument("--threshold", default="none",
                    help="floor for the real part: a positive number or 'none'")
@@ -154,7 +165,7 @@ def _add_series_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_quadrature_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", default="riemann", choices=["riemann", "fourier"])
-    p.add_argument("--riemann-points", dest="points", default=None, type=int,
+    p.add_argument("--riemann-points", dest="points", default=None,
                    help="Riemann cells (default 500; --mode riemann only)")
 
 
@@ -173,8 +184,12 @@ def _estimate(args, ts: TimeSeries, grid: FrequencyGrid) -> PeriodogramEstimate:
 def _mean_config(args) -> SpectralMeanConfig:
     if args.mode == "fourier" and args.points is not None:
         raise DomainError("--riemann-points applies only to --mode riemann")
-    riemann = RiemannIntegral() if args.points is None else RiemannIntegral(args.points)
-    mode = FourierSum() if args.mode == "fourier" else riemann
+    if args.mode == "fourier":
+        mode = FourierSum()
+    elif args.points is None:
+        mode = RiemannIntegral()
+    else:
+        mode = RiemannIntegral(_number(int, args.points, "--riemann-points"))
     return SpectralMeanConfig(mode=mode, threshold=_parse_threshold(args.threshold))
 
 
@@ -198,7 +213,7 @@ def _cmd_periodogram(args, argv) -> int:
 def _cmd_smooth(args, argv) -> int:
     ts = _load_input(args)
     pg = _estimate(args, ts, FrequencyGrid.fourier(ts.n))
-    window = spectral_window(args.window, args.m)
+    window = spectral_window(args.window, _number(int, args.m, "--m"))
     sm = smooth_periodogram(pg, window)
     _write_columns(
         args.out,
@@ -210,11 +225,12 @@ def _cmd_smooth(args, argv) -> int:
 
 def _cmd_acf(args, argv) -> int:
     ts = _load_input(args)
-    autocov, acf = acf_estimate(ts, args.lags, _estimator_from_flags(args), _mean_config(args))
+    lags = _number(int, args.lags, "--lags")
+    autocov, acf = acf_estimate(ts, lags, _estimator_from_flags(args), _mean_config(args))
     _write_columns(
         args.out,
         _comment(argv),
-        {"lag": np.arange(args.lags + 1), "autocov": autocov, "acf": acf},
+        {"lag": np.arange(lags + 1), "autocov": autocov, "acf": acf},
     )
     return 0
 
@@ -248,7 +264,7 @@ def _cmd_whittle(args, argv) -> int:
 
 def _cmd_simulate(args, argv) -> int:
     model = _parse_model_token(args.model)
-    ts = simulate_arma(model, args.n, args.seed)
+    ts = simulate_arma(model, _number(int, args.n, "--n"), _number(int, args.seed, "--seed"))
     _write_columns(args.out, _comment(argv), {"value": ts.values})
     return 0
 
@@ -354,12 +370,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smooth", help="window-smoothed periodogram")
     _add_series_flags(p)
     p.add_argument("--window", required=True, choices=["daniell", "bartlett", "hann"])
-    p.add_argument("--m", required=True, type=int, help="window half-width")
+    p.add_argument("--m", required=True, help="window half-width")
     p.set_defaults(func=_cmd_smooth)
 
     p = sub.add_parser("acf", help="autocovariance/ACF from a periodogram estimate")
     _add_series_flags(p)
-    p.add_argument("--lags", required=True, type=int)
+    p.add_argument("--lags", required=True)
     _add_quadrature_flags(p)
     p.set_defaults(func=_cmd_acf)
 
@@ -372,8 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate a builtin model")
     p.add_argument("--model", required=True, help="m1:LAMBDA or m2")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--n", required=True)
+    p.add_argument("--seed", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)
 

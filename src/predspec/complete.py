@@ -71,12 +71,19 @@ class AutoAIC:
 
     max_order: int | None = None
 
+    def __post_init__(self):
+        if self.max_order is not None:
+            object.__setattr__(self, "max_order", _integer(self.max_order, "max_order", 1))
+
 
 @dataclass(frozen=True)
 class FixedOrder:
     """Fit AR(p) per series at a fixed order."""
 
     p: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", _integer(self.p, "order", 0))
 
 
 ModelSource = Union[Explicit, TruncatedInfinite, AutoAIC, FixedOrder]
@@ -180,19 +187,25 @@ def _source_rows(x: np.ndarray, source: ModelSource):
     raise DomainError(f"unknown model source {source!r}")
 
 
-def _estimate_block(plans, x: np.ndarray, grid: FrequencyGrid) -> list:
+def _estimate_block(plans, x: np.ndarray, grid: FrequencyGrid, fits: dict | None = None) -> list:
     """Each (taper, source) plan's estimator on every row of x (rows, n).
 
     A plan's source is None for the raw periodograms.  One pass over the
     block: the plain DFT once, and each taper's DFT and each source's
     completed DFT (J + predictive correction) once per object, whatever the
-    number of plans that hold it.  Returns one (values, orders) pair per
-    plan: the (rows, |grid|) values, real for the raw kinds and complex for
-    the completed ones, and the per-row AR orders (None for the raw kinds
-    and a truncated sequence).  A plan's rows do not depend on the other
-    plans or rows.
+    number of plans that hold it.  A fitted source (`AutoAIC`, `FixedOrder`)
+    takes its fit record, the `_source_rows` pair, from `fits`, the records
+    already fitted to these rows keyed by source, and is fitted only when
+    missing there, so equal sources share one fit.  `complete_periodogram`
+    passes the series' own store; by default the store is new and lives for
+    this call, as in the runner's blocks.  Returns one (values, orders) pair
+    per plan: the (rows, |grid|) values, real for the raw kinds and complex
+    for the completed ones, and the per-row AR orders (None for the raw
+    kinds and a truncated sequence).  A plan's rows do not depend on the
+    other plans or rows, nor on whether their fit came from the store.
     """
     j = _dft_rows(x, grid)
+    fits = {} if fits is None else fits
     shared = {}
 
     def once(obj, make):
@@ -201,7 +214,12 @@ def _estimate_block(plans, x: np.ndarray, grid: FrequencyGrid) -> list:
         return shared[id(obj)]
 
     def completed(source):
-        a, orders = _source_rows(x, source)
+        if isinstance(source, (AutoAIC, FixedOrder)):
+            if source not in fits:
+                fits[source] = _source_rows(x, source)
+            a, orders = fits[source]
+        else:
+            a, orders = _source_rows(x, source)
         return j + _correction_rows(x, a, grid), orders
 
     out = []
@@ -230,9 +248,11 @@ def complete_periodogram(
     always built from the plain DFT plus its predictive correction.  Values
     are complex; callers wanting a real estimate take the real part (see
     `threshold_real`).  Values too large to multiply raise NumericalError.
+    The series keeps the fit of a fitted source, so a later call with an
+    equal source, on any grid or taper, fits nothing again.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        [(values, orders)] = _estimate_block([(taper, source)], ts.values[None], grid)
+        [(values, orders)] = _estimate_block([(taper, source)], ts.values[None], grid, ts._fits)
     if not np.all(np.isfinite(values)):
         raise NumericalError("completed periodogram overflows: the series is too large")
     meta = PgMeta(

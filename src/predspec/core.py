@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
@@ -84,10 +84,14 @@ class TimeSeries:
     """An observed real-valued series x[1..n] (stored 0-based).
 
     Estimators use the values as given; call `center` to remove the sample
-    mean first.
+    mean first.  The values are a read-only copy, so the series keeps the AR
+    fits its completed estimates take (one per fitted model source, in
+    `_fits`) for as long as it lives.  A new series, from `center` or
+    `dataclasses.replace`, starts with none.
     """
 
     values: np.ndarray
+    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _vector(self, "values", "time series")

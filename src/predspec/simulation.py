@@ -14,9 +14,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
-from .arfit import ArmaModel, _arma_autocov, _polynomials
+from .arfit import ArmaModel, _arma_autocov, _filter, _polynomials
 from .complete import Explicit, _estimate_block
 from .core import FrequencyGrid, TimeSeries, _integer, _positive
 from .estimators import EstimatorSpec, _plans
@@ -67,7 +66,7 @@ def _simulate_rows(model: ArmaModel, n: int, seeds) -> np.ndarray:
     if model.sigma2 != 1.0:
         eps *= np.sqrt(model.sigma2)
     phi, psi = _polynomials(model)
-    return scipy.signal.lfilter(psi, phi, eps, axis=1)[:, burn:]
+    return _filter(psi, phi, eps)[:, burn:]
 
 
 def simulate_arma(model: ArmaModel, n: int, seed: int) -> TimeSeries:

@@ -18,7 +18,7 @@ from predspec import (
     raw_periodogram,
     simulate_arma,
 )
-from predspec.cli import _CONFIG_KEYS, main, parse_experiment_config
+from predspec.cli import _CONFIG_KEYS, _number, main, parse_experiment_config
 
 
 def _write_series(path, values, header=None):
@@ -79,6 +79,8 @@ def test_input_error_exit_code(tmp_path, capsys):
     binary_csv, binary_cfg = tmp_path / "bin.csv", tmp_path / "bin.cfg"
     for path in (binary_csv, binary_cfg):
         path.write_bytes(b"\xff\xfe1\x002\x00")
+    underscore_cfg = tmp_path / "underscore.cfg"
+    underscore_cfg.write_text("model = m1\nlambda = 0.5\nn = 2_0\nB = 4\nseed = 1\nestimators = regular\n")
     for argv in (
         ["periodogram", str(good), "--kind", "complete", "--order", "foo"],
         ["periodogram", str(good), "--grid", "uniform:abc"],
@@ -100,6 +102,22 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["periodogram", str(good), "--taper-d", "abc"],
         [],
         ["verify", "--suite", "bogus"],
+        # one spelling of a number: no underscores, leading "+", spaces or "inf"
+        ["whittle", str(good), "--family", "ar:1_0"],
+        ["whittle", str(good), "--family", "ar:+1"],
+        ["whittle", str(good), "--family", "ar:1", "--init", " 0.1"],
+        ["periodogram", str(good), "--kind", "tapered", "--taper-d", "1_0"],
+        ["periodogram", str(good), "--kind", "tapered", "--taper-d", "+2"],
+        ["periodogram", str(good), "--kind", "complete", "--order", "+2"],
+        ["periodogram", str(good), "--kind", "complete", "--threshold", "inf"],
+        ["periodogram", str(good), "--grid", "uniform: 8"],
+        ["smooth", str(good), "--window", "daniell", "--m", "+2"],
+        ["acf", str(good), "--lags", "1_0"],
+        ["acf", str(good), "--lags", "2", "--riemann-points", "1_000"],
+        ["simulate", "--model", "m1:+0.5", "--n", "5", "--seed", "1"],
+        ["simulate", "--model", "m1:0.5", "--n", "1_0", "--seed", "1"],
+        ["simulate", "--model", "m1:0.5", "--n", "5", "--seed", " 1"],
+        ["experiment", str(underscore_cfg)],
         # files that are not UTF-8 text
         ["periodogram", str(binary_csv)],
         ["experiment", str(binary_cfg)],
@@ -311,17 +329,66 @@ def test_verify_oracle_suite_runs(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_entry_point_subprocess(tmp_path):
-    # the installed console script behaves like main(); the child imports the
-    # same predspec as this process, which a checkout finds through pytest's
-    # pythonpath setting, not through the environment the child inherits
+def _child_env() -> dict:
+    # a child imports the same predspec as this process, which a checkout
+    # finds through pytest's pythonpath setting, not through the environment
+    # the child inherits
     package_root = os.path.dirname(os.path.dirname(predspec.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_entry_point_subprocess(tmp_path):
+    # the installed console script behaves like main()
     proc = subprocess.run(
         [sys.executable, "-m", "predspec.cli", "simulate", "--model", "m1:0.9",
          "--n", "5", "--seed", "1"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "value"
+
+
+@pytest.mark.parametrize(
+    "kind, token, value",
+    [(int, "12", 12), (int, "-3", -3), (float, "0.5", 0.5), (float, ".5", 0.5),
+     (float, "5.", 5.0), (float, "-2", -2.0), (float, "1e-3", 1e-3), (float, "1E3", 1e3),
+     (float, "1e+300", 1e300)],
+)
+def test_number_spellings_accepted(kind, token, value):
+    # "1e+300" is how repr, and so every output file, writes large floats
+    got = _number(kind, token, "x")
+    assert got == value and type(got) is kind
+
+
+@pytest.mark.parametrize(
+    "kind, token",
+    [(int, "1_0"), (int, "+2"), (int, " 2"), (int, "2 "), (int, "2.0"), (int, "٢"),
+     (int, ""), (float, "1_0.5"), (float, "+0.5"), (float, "0.5 "), (float, "inf"),
+     (float, "nan"), (float, "."), (float, "1e"), (float, "0x1p-2")],
+)
+def test_other_number_spellings_rejected(kind, token):
+    with pytest.raises(predspec.DomainError, match="must be an integer|must be a number"):
+        _number(kind, token, "x")
+
+
+_IMPORT_PROBE = """
+import sys
+import predspec
+from predspec.cli import main
+assert "scipy.signal" not in sys.modules, "import predspec"
+for kind in ("regular", "complete"):
+    assert main(["periodogram", sys.argv[1], "--kind", kind]) == 0
+    assert "scipy.signal" not in sys.modules, kind
+"""
+
+
+def test_analysis_does_not_import_scipy_signal(tmp_path):
+    # scipy.signal costs more to import than the rest of predspec; only the
+    # ARMA filter (simulation and expansions) loads it
+    src = tmp_path / "x.csv"
+    _write_series(src, np.random.default_rng(3).standard_normal(64))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(src)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr

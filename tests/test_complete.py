@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import replace
 from unittest import mock
 
@@ -11,16 +12,22 @@ from predspec import (
     ArmaModel,
     AutoAIC,
     DomainError,
+    EstimatorSpec,
     Explicit,
     FixedOrder,
     FrequencyGrid,
     NumericalError,
+    PredspecError,
+    SpectralMeanConfig,
     TimeSeries,
     TruncatedInfinite,
     arma_expand,
     builtin_models,
+    acf_estimate,
+    ar_family,
     complete_periodogram,
     dft,
+    evaluate_estimator,
     predictive_dft,
     predictive_dft_bruteforce,
     predictive_dft_matrix,
@@ -29,6 +36,7 @@ from predspec import (
     simulate_arma,
     threshold_real,
     tukey_taper,
+    whittle_fit,
 )
 from predspec import complete
 from predspec.arfit import _transfer_polynomial
@@ -317,3 +325,117 @@ def test_correction_transfer_polynomial_matches_direct_sum(data):
     assert not np.any(complete._correction_rows(x, a[:, :0], grid))
     with pytest.raises(NumericalError):
         complete_periodogram(TimeSeries(x[0]), Explicit(ArModel([1 - 1e-9], 1.0)), FrequencyGrid.fourier(n))
+
+
+# --- the fits a series keeps --------------------------------------------------
+
+_CFG = SpectralMeanConfig(threshold=1e-3)
+
+
+def _analyse(ts):
+    """The analysis of one series that fits its AIC model four times unstored."""
+    grid = FrequencyGrid.fourier(ts.n)
+    return (
+        evaluate_estimator(ts, EstimatorSpec("complete"), grid),
+        evaluate_estimator(ts, EstimatorSpec("tapered-complete"), grid),
+        acf_estimate(ts, 5, EstimatorSpec("complete"), _CFG),
+        whittle_fit(ts, ar_family(2), EstimatorSpec("complete"), [0.1, 0.1], _CFG),
+    )
+
+
+def _assert_same_bits(got, want):
+    """Equal results, arrays and floats compared bit for bit."""
+    assert type(got) is type(want)
+    if dataclasses.is_dataclass(got):
+        for f in dataclasses.fields(got):
+            _assert_same_bits(getattr(got, f.name), getattr(want, f.name))
+    elif isinstance(got, (tuple, list)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_bits(g, w)
+    elif isinstance(got, (np.ndarray, float)):
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    else:
+        assert got == want
+
+
+def test_series_fits_once_per_source():
+    ts = simulate_arma(builtin_models("m1", 0.8), 300, 5).center()
+    calls = []
+    aic_rows = complete._aic_rows
+
+    def spy(x, max_order=None):
+        calls.append(max_order)
+        return aic_rows(x, max_order)
+
+    with mock.patch.object(complete, "_aic_rows", spy):
+        kept = _analyse(ts)
+        assert len(calls) == 1
+        unstored = [_analyse(TimeSeries(ts.values))[i] for i in range(4)]
+        assert len(calls) == 5
+    _assert_same_bits(kept, tuple(unstored))
+
+
+def test_distinct_sources_keep_distinct_fits():
+    # orders 4, 1 and 2: a fit shared between any two would show in the values
+    ts = simulate_arma(ArmaModel([0.3, 0.0, 0.5], [], 1.0), 200, 3).center()
+    grid = FrequencyGrid.fourier(ts.n)
+    sources = (AutoAIC(), AutoAIC(max_order=2), FixedOrder(2))
+    for _ in range(2):  # the second round reads every fit from the store
+        got = [complete_periodogram(ts, source, grid) for source in sources]
+        want = [complete_periodogram(TimeSeries(ts.values), source, grid) for source in sources]
+        _assert_same_bits(got, want)
+    assert [pg.meta.order for pg in got] == [4, 1, 2]
+    assert set(ts._fits) == set(sources)
+
+
+def test_new_series_start_without_fits():
+    ts = simulate_arma(builtin_models("m1", 0.8), 100, 2)
+    grid = FrequencyGrid.fourier(ts.n)
+    complete_periodogram(ts, AutoAIC(), grid)
+    assert list(ts._fits) == [AutoAIC()]
+    centred, replaced = ts.center(), replace(ts, values=ts.values + 1.0)
+    for other in (centred, replaced):
+        assert other._fits == {} and other._fits is not ts._fits
+        _assert_same_bits(complete_periodogram(other, AutoAIC(), grid),
+                          complete_periodogram(TimeSeries(other.values), AutoAIC(), grid))
+    assert list(ts._fits) == [AutoAIC()]
+    assert "_fits" not in repr(ts)
+    assert not ts.values.flags.writeable
+
+
+def _outcome(call, ts):
+    try:
+        return call(ts)
+    except PredspecError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_kept_fits_give_the_unstored_bits(data):
+    """Any sequence of single-series calls on one series gives the bits (or the
+    error) of the same calls on fresh copies, which fit everything anew."""
+    n = data.draw(st.integers(6, 90))
+    x = np.random.default_rng(data.draw(st.integers(0, 2**32))).standard_normal(n)
+    ts = TimeSeries(x * data.draw(st.sampled_from([1e-3, 1.0, 1e3])))
+    sources = [None, AutoAIC(), AutoAIC(max_order=2), FixedOrder(1), FixedOrder(3)]
+    for _ in range(data.draw(st.integers(1, 6))):
+        kind = data.draw(st.sampled_from(["complete", "tapered-complete"]))
+        spec = EstimatorSpec(kind, source=data.draw(st.sampled_from(sources)))
+        use = data.draw(st.sampled_from(["fourier", "uniform", "explicit", "acf", "whittle"]))
+        if use == "fourier":
+            call = lambda s: evaluate_estimator(s, spec, FrequencyGrid.fourier(s.n))
+        elif use == "uniform":
+            grid = FrequencyGrid.uniform(data.draw(st.integers(1, 64)))
+            call = lambda s: evaluate_estimator(s, spec, grid)
+        elif use == "explicit":
+            w = data.draw(st.lists(st.floats(0.0, 6.28), min_size=1, max_size=8, unique=True))
+            grid = FrequencyGrid.explicit(sorted(w))
+            call = lambda s: evaluate_estimator(s, spec, grid)
+        elif use == "acf":
+            call = lambda s: acf_estimate(s, 3, spec, _CFG)
+        else:
+            call = lambda s: whittle_fit(s, ar_family(1), spec, [0.1], _CFG)
+        _assert_same_bits(_outcome(call, ts), _outcome(call, TimeSeries(ts.values)))

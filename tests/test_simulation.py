@@ -224,13 +224,22 @@ def test_non_positive_numbers_rejected(call):
         {"threshold": True},
         {"estimators": EstimatorSpec("regular")},
         {"estimators": ("regular",)},
+        # sources that check their integers when built, so the changes are
+        # made inside the check, before any block is simulated
+        lambda: {"estimators": (EstimatorSpec("complete", source=FixedOrder(-1)),)},
+        lambda: {"estimators": (EstimatorSpec("complete", source=FixedOrder(True)),)},
+        lambda: {"estimators": (EstimatorSpec("complete", source=FixedOrder(2.0)),)},
+        lambda: {"estimators": (EstimatorSpec("complete", source=AutoAIC(max_order="x")),)},
+        lambda: {"estimators": (EstimatorSpec("complete", source=AutoAIC(max_order=0)),)},
     ],
     ids=["model-str", "smoothing-single", "smoothing-triple", "smoothing-int", "threshold-str",
-         "threshold-bool", "estimators-single-spec", "estimators-kind-names"],
+         "threshold-bool", "estimators-single-spec", "estimators-kind-names",
+         "fixed-order-negative", "fixed-order-bool", "fixed-order-float", "max-order-str",
+         "max-order-zero"],
 )
 def test_malformed_experiment_spec_rejected(changes):
     with pytest.raises(DomainError):
-        ExperimentSpec(**{**_SPEC, **changes})
+        ExperimentSpec(**{**_SPEC, **(changes() if callable(changes) else changes)})
 
 
 def test_integer_like_parameters_accepted():
@@ -238,6 +247,9 @@ def test_integer_like_parameters_accepted():
                              "smoothing": ("hann", np.int32(2))})
     assert type(spec.n) is int and type(spec.seed) is int and spec.smoothing == ("hann", 2)
     assert spectral_window("hann", np.int64(2)).m == 2
+    # a source keys the fits a series keeps, so it holds the converted int
+    assert type(FixedOrder(np.int64(2)).p) is int and FixedOrder(np.int64(2)) == FixedOrder(2)
+    assert type(AutoAIC(np.int32(3)).max_order) is int and AutoAIC(np.int32(3)) == AutoAIC(3)
     np.testing.assert_array_equal(simulate_arma(_M1, np.int64(10), np.int64(1)).values,
                                   simulate_arma(_M1, 10, 1).values)
 
