@@ -28,6 +28,7 @@ from .complete import (
     predictive_dft,
     predictive_dft_matrix,
     predictive_dft_truncated_infinite,
+    raw_periodogram,
     threshold_real,
 )
 from .core import (
@@ -38,7 +39,6 @@ from .core import (
     Taper,
     TimeSeries,
     dft,
-    raw_periodogram,
     sample_autocov,
     tukey_taper,
 )

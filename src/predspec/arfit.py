@@ -175,6 +175,8 @@ def _yule_walker_rows(x: np.ndarray, p: int):
     if _integer(p, "order", 0) >= x.shape[-1]:
         raise DomainError("order must satisfy 0 <= p < n")
     c = _autocov_rows(x, p)
+    if not np.isfinite(c).all():
+        raise NumericalError("sample autocovariances overflow: the series is too large")
     if (c[:, 0] <= 0.0).any():
         raise NumericalError("series is constant: zero sample variance")
     return _levinson_rows(c, p)

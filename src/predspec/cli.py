@@ -54,24 +54,18 @@ def _read_text(path: str) -> str:
 
 
 def _read_series(path: str) -> TimeSeries:
-    values = []
-    first_data_line = True
-    for raw in _read_text(path).split("\n"):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    """The values of a series file, one per line; a first line that float()
+    rejects is a header, and every value is spelled as `_SPELLINGS[float]` says."""
+    lines = [line.strip() for line in _read_text(path).split("\n")]
+    lines = [line for line in lines if line and not line.startswith("#")]
+    if lines:
         try:
-            values.append(float(line))
-            first_data_line = False
+            float(lines[0])
         except ValueError:
-            if first_data_line:
-                # a single header row is tolerated at the top
-                first_data_line = False
-                continue
-            raise DomainError(f"non-numeric value in {path!r}: {line!r}")
-    if not values:
+            del lines[0]  # a single header row is tolerated at the top
+    if not lines:
         raise DomainError(f"no numeric data found in {path!r}")
-    return TimeSeries(np.asarray(values))
+    return TimeSeries(np.array([_number(float, line, f"a value in {path!r}") for line in lines]))
 
 
 def _write_columns(out: str | None, comment: str, columns: dict) -> None:

@@ -9,7 +9,9 @@ and last p observations, which is what `predictive_dft` evaluates.
 
 Multiplying the completed DFT by the conjugate of the regular (or tapered)
 DFT yields an estimate whose expectation under the model is exactly the
-spectral density, removing the O(1/n) boundary bias of |DFT|^2.
+spectral density, removing the O(1/n) boundary bias of |DFT|^2.  The raw
+(regular and tapered) periodograms are the case with no correction, so
+every single-series estimate is built by one function, `_estimate`.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ __all__ = [
     "predictive_dft_matrix",
     "predictive_dft_truncated_infinite",
     "complete_periodogram",
+    "raw_periodogram",
     "threshold_real",
 ]
 
@@ -191,20 +194,20 @@ def _estimate_block(plans, x: np.ndarray, grid: FrequencyGrid, fits: dict | None
     """Each (taper, source) plan's estimator on every row of x (rows, n).
 
     A plan's source is None for the raw periodograms.  One pass over the
-    block: the plain DFT once, and each taper's DFT and each source's
-    completed DFT (J + predictive correction) once per object, whatever the
-    number of plans that hold it.  A fitted source (`AutoAIC`, `FixedOrder`)
-    takes its fit record, the `_source_rows` pair, from `fits`, the records
-    already fitted to these rows keyed by source, and is fitted only when
-    missing there, so equal sources share one fit.  `complete_periodogram`
-    passes the series' own store; by default the store is new and lives for
-    this call, as in the runner's blocks.  Returns one (values, orders) pair
-    per plan: the (rows, |grid|) values, real for the raw kinds and complex
-    for the completed ones, and the per-row AR orders (None for the raw
-    kinds and a truncated sequence).  A plan's rows do not depend on the
-    other plans or rows, nor on whether their fit came from the store.
+    block: the plain DFT once if a plan reads it (a completed plan or an
+    untapered one does), and each taper's DFT and each source's completed
+    DFT (J + predictive correction) once per object, whatever the number of
+    plans that hold it.  A fitted source (`AutoAIC`, `FixedOrder`) takes its
+    fit record, the `_source_rows` pair, from `fits`, the records already
+    fitted to these rows keyed by source, and is fitted only when missing
+    there, so equal sources share one fit.  `_estimate` passes the series'
+    own store; by default the store is new and lives for this call, as in
+    the runner's blocks.  Returns one (values, orders) pair per plan: the
+    (rows, |grid|) values, real for the raw kinds and complex for the
+    completed ones, and the per-row AR orders (None for the raw kinds and a
+    truncated sequence).  A plan's rows do not depend on the other plans or
+    rows, nor on whether their fit came from the store.
     """
-    j = _dft_rows(x, grid)
     fits = {} if fits is None else fits
     shared = {}
 
@@ -213,6 +216,9 @@ def _estimate_block(plans, x: np.ndarray, grid: FrequencyGrid, fits: dict | None
             shared[id(obj)] = make()
         return shared[id(obj)]
 
+    def dft(taper):  # the plain DFT is keyed by the block itself
+        return once(x if taper is None else taper, lambda: _dft_rows(x, grid, taper))
+
     def completed(source):
         if isinstance(source, (AutoAIC, FixedOrder)):
             if source not in fits:
@@ -220,20 +226,61 @@ def _estimate_block(plans, x: np.ndarray, grid: FrequencyGrid, fits: dict | None
             a, orders = fits[source]
         else:
             a, orders = _source_rows(x, source)
-        return j + _correction_rows(x, a, grid), orders
+        return dft(None) + _correction_rows(x, a, grid), orders
 
     out = []
     for taper, source in plans:
-        jt = j if taper is None else once(taper, lambda: _dft_rows(x, grid, taper))
+        jt = dft(taper)
         if source is None:
             out.append((_periodogram_rows(jt, taper), None))
         else:
-            dft, orders = once(source, lambda: completed(source))
-            # np.multiply, not `*`: numpy computes `dft * <temporary>` of 256 KiB
-            # or more in place with the operands swapped, which moves the last
-            # bit of the imaginary part, so rows would depend on the block size
-            out.append((np.multiply(dft, np.conj(jt)), orders))
+            completed_dft, orders = once(source, lambda: completed(source))
+            # np.multiply, not `*`: numpy computes `completed_dft * <temporary>`
+            # of 256 KiB or more in place with the operands swapped, which moves
+            # the last bit of the imaginary part, so rows would depend on the
+            # block size
+            out.append((np.multiply(completed_dft, np.conj(jt)), orders))
     return out
+
+
+def _estimate(
+    ts: TimeSeries, grid: FrequencyGrid, taper: Taper | None = None, source: ModelSource | None = None
+) -> PeriodogramEstimate:
+    """The (taper, source) estimate of one series: a one-row `_estimate_block`.
+
+    Every single-series periodogram, raw (no source) or completed, is built
+    here, with the series' own fit store, so its rows equal the runner's
+    block rows bit for bit.  Values that overflow raise NumericalError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        [(values, orders)] = _estimate_block([(taper, source)], ts.values[None], grid, ts._fits)
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("periodogram overflows: the series is too large")
+    if source is None:
+        kind = "regular" if taper is None else "tapered"
+    elif taper is not None:
+        kind = "tapered-complete"
+    else:
+        kind = "complete-true-ar" if isinstance(source, Explicit) else "complete"
+    meta = PgMeta(
+        order=None if orders is None else int(orders[0]),
+        taper=None if taper is None else taper.description,
+    )
+    return PeriodogramEstimate(grid, values[0], kind=kind, meta=meta)
+
+
+def raw_periodogram(
+    ts: TimeSeries, grid: FrequencyGrid, taper: Taper | None = None
+) -> PeriodogramEstimate:
+    """Squared-modulus periodogram, untapered or shape-tapered.
+
+    Untapered: |dft|**2.  Tapered: |sum_t h(t/n) x[t] exp(1j*t*w)|**2 / h2,
+    the raw taper shape with its own second-moment normalizer; since the
+    tapered DFT weights the data by h(t/n) * n / h1, that is its squared
+    modulus times h1**2 / (n * h2).  It is the completed periodogram with no
+    correction.  Values that overflow raise NumericalError.
+    """
+    return _estimate(ts, grid, taper)
 
 
 def complete_periodogram(
@@ -251,19 +298,9 @@ def complete_periodogram(
     The series keeps the fit of a fitted source, so a later call with an
     equal source, on any grid or taper, fits nothing again.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        [(values, orders)] = _estimate_block([(taper, source)], ts.values[None], grid, ts._fits)
-    if not np.all(np.isfinite(values)):
-        raise NumericalError("completed periodogram overflows: the series is too large")
-    meta = PgMeta(
-        order=None if orders is None else int(orders[0]),
-        taper=None if taper is None else taper.description,
-    )
-    if taper is not None:
-        kind = "tapered-complete"
-    else:
-        kind = "complete-true-ar" if isinstance(source, Explicit) else "complete"
-    return PeriodogramEstimate(grid, values[0], kind=kind, meta=meta)
+    if source is None:
+        raise DomainError("a completed periodogram needs a model source, got None")
+    return _estimate(ts, grid, taper, source)
 
 
 def threshold_real(pg: PeriodogramEstimate, delta: float) -> PeriodogramEstimate:

@@ -34,7 +34,6 @@ __all__ = [
     "sample_autocov",
     "dft",
     "tukey_taper",
-    "raw_periodogram",
 ]
 
 
@@ -359,27 +358,8 @@ def dft(ts: TimeSeries, grid: FrequencyGrid, taper: Taper | None = None) -> np.n
 
 
 def _periodogram_rows(j: np.ndarray, taper: Taper | None = None) -> np.ndarray:
-    """Raw periodogram from DFT rows j, taken with `taper` (or none); see `raw_periodogram`."""
+    """Raw periodogram from DFT rows j, taken with `taper` (or none); see `complete.raw_periodogram`."""
     vals = j.real**2 + j.imag**2
     if taper is not None:
         vals *= taper.h1**2 / (taper.n * taper.h2)
     return vals
-
-
-def raw_periodogram(
-    ts: TimeSeries, grid: FrequencyGrid, taper: Taper | None = None
-) -> PeriodogramEstimate:
-    """Squared-modulus periodogram, untapered or shape-tapered.
-
-    Untapered: |dft|**2.  Tapered: |sum_t h(t/n) x[t] exp(1j*t*w)|**2 / h2,
-    the raw taper shape with its own second-moment normalizer; since the
-    tapered DFT weights the data by h(t/n) * n / h1, that is its squared
-    modulus times h1**2 / (n * h2).  Values that overflow raise NumericalError.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _periodogram_rows(_dft_rows(ts.values[None], grid, taper), taper)[0]
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError("periodogram overflows: the series is too large")
-    if taper is None:
-        return PeriodogramEstimate(grid, vals, kind="regular")
-    return PeriodogramEstimate(grid, vals, kind="tapered", meta=PgMeta(taper=taper.description))

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .complete import AutoAIC, Explicit, ModelSource, complete_periodogram
-from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries, raw_periodogram, tukey_taper
+from .complete import AutoAIC, Explicit, ModelSource, _estimate
+from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries, tukey_taper
 from .exceptions import DomainError
 
 __all__ = ["ESTIMATOR_KINDS", "EstimatorSpec", "evaluate_estimator", "default_rise"]
@@ -102,7 +102,4 @@ def _plans(specs, n: int, truth: Explicit | None = None) -> list:
 
 def evaluate_estimator(ts: TimeSeries, spec: EstimatorSpec, grid: FrequencyGrid) -> PeriodogramEstimate:
     """Evaluate the described estimator on a series over a grid."""
-    [(taper, source)] = _plans([spec], ts.n)
-    if source is None:
-        return raw_periodogram(ts, grid, taper)
-    return complete_periodogram(ts, source, grid, taper=taper)
+    return _estimate(ts, grid, *_plans([spec], ts.n)[0])

@@ -81,6 +81,16 @@ def test_input_error_exit_code(tmp_path, capsys):
         path.write_bytes(b"\xff\xfe1\x002\x00")
     underscore_cfg = tmp_path / "underscore.cfg"
     underscore_cfg.write_text("model = m1\nlambda = 0.5\nn = 2_0\nB = 4\nseed = 1\nestimators = regular\n")
+    # series values have the one spelling too; a first line that float() reads is data, not a header
+    spelled = []
+    for i, text in enumerate(("1_0\n2.0\n3.0\n", "value\n1.0\n+2\n", "1.0\ninf\n2.0\n",
+                              "nan\n1.0\n2.0\n", "value\n\uff11\n2.0\n", " +1.0\n2.0\n")):
+        spelled.append(tmp_path / f"spelled{i}.csv")
+        spelled[-1].write_text(text, encoding="utf-8")
+    padded = tmp_path / "padded.csv"
+    padded.write_text("value\n 1.5 \n\t-2e3\n3\n")
+    assert main(["periodogram", str(padded)]) == 0  # surrounding whitespace is stripped
+    capsys.readouterr()
     for argv in (
         ["periodogram", str(good), "--kind", "complete", "--order", "foo"],
         ["periodogram", str(good), "--grid", "uniform:abc"],
@@ -118,6 +128,7 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["simulate", "--model", "m1:0.5", "--n", "1_0", "--seed", "1"],
         ["simulate", "--model", "m1:0.5", "--n", "5", "--seed", " 1"],
         ["experiment", str(underscore_cfg)],
+        *(["periodogram", str(path)] for path in spelled),
         # files that are not UTF-8 text
         ["periodogram", str(binary_csv)],
         ["experiment", str(binary_cfg)],
@@ -140,14 +151,17 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     # finite values whose squares overflow: numerical breakdown, not bad input
     big = tmp_path / "big.csv"
     _write_series(big, [1e300, -1e300] * 8)
-    for argv in (
-        ["periodogram", str(big)],
-        ["periodogram", str(big), "--kind", "tapered"],
-        ["acf", str(big), "--lags", "2"],
-        ["whittle", str(big), "--family", "ar:1", "--kind", "regular"],
+    for argv, message in (
+        (["periodogram", str(big)], "periodogram overflows"),
+        (["periodogram", str(big), "--kind", "tapered"], "periodogram overflows"),
+        (["periodogram", str(big), "--kind", "complete"], "sample autocovariances overflow"),
+        (["periodogram", str(big), "--kind", "tapered-complete"], "sample autocovariances overflow"),
+        (["acf", str(big), "--lags", "2"], "periodogram overflows"),
+        (["whittle", str(big), "--family", "ar:1", "--kind", "regular"], "periodogram overflows"),
     ):
         assert main(argv) == 3, argv
-        assert "numerical" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical" in err and message in err, (argv, err)
     # finite values whose mean (or centred values) overflow while centring
     for values in ([1.7e308] * 16, [1.7e308, -1.7e308, -1.7e308] * 5):
         huge = tmp_path / "huge.csv"

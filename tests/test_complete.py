@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -163,6 +164,11 @@ def test_complete_periodogram_kinds_and_meta():
     assert tap_pg.kind == "tapered-complete"
     assert tap_pg.meta.taper is not None
 
+    # no source is no completed periodogram, with or without a taper
+    for taper in (None, t):
+        with pytest.raises(DomainError):
+            complete_periodogram(ts, None, g, taper=taper)
+
 
 def test_complete_periodogram_is_complete_dft_times_conj_dft():
     ts = simulate_arma(builtin_models("m1", 0.7), 16, 3)
@@ -283,9 +289,10 @@ def test_correction_paths_agree(case):
     np.testing.assert_allclose(truncated, vector, rtol=0.0, atol=tol)
     radius = np.max(np.abs(np.roots(np.concatenate(([1.0], -model.coeffs)))))
     if ts.n <= 8 and radius <= 0.9:
-        # slow-mixing models would need a longer horizon than the oracle's
-        cov = arma_expand(ArmaModel(model.coeffs, [], 1.0), M=ts.n + 400).autocov
-        brute = predictive_dft_bruteforce(ts, cov, grid, horizon=200)
+        # slow-mixing models need a longer horizon: the tail decays like radius**h
+        horizon = max(200, math.ceil(math.log(1e-13) / math.log(max(radius, 0.5))))
+        cov = arma_expand(ArmaModel(model.coeffs, [], 1.0), M=ts.n + 2 * horizon).autocov
+        brute = predictive_dft_bruteforce(ts, cov, grid, horizon=horizon)
         np.testing.assert_allclose(vector, brute, rtol=0.0, atol=1e-8 * max(1.0, float(np.max(np.abs(brute)))))
 
 
@@ -325,6 +332,27 @@ def test_correction_transfer_polynomial_matches_direct_sum(data):
     assert not np.any(complete._correction_rows(x, a[:, :0], grid))
     with pytest.raises(NumericalError):
         complete_periodogram(TimeSeries(x[0]), Explicit(ArModel([1 - 1e-9], 1.0)), FrequencyGrid.fourier(n))
+
+
+def test_single_estimate_takes_only_the_dfts_it_reads():
+    """A one-row raw tapered estimate takes one DFT, the tapered one; a
+    tapered-complete estimate takes two, the plain one it completes and the
+    tapered one it conjugates."""
+    ts = simulate_arma(builtin_models("m1", 0.8), 40, 1).center()
+    grid, taper = FrequencyGrid.fourier(ts.n), tukey_taper(ts.n, 4)
+    tapers = []
+    dft_rows = complete._dft_rows
+
+    def spy(x, grid, taper=None):
+        tapers.append(taper)
+        return dft_rows(x, grid, taper)
+
+    with mock.patch.object(complete, "_dft_rows", spy):
+        raw_periodogram(ts, grid, taper)
+        assert tapers == [taper]
+        tapers.clear()
+        complete_periodogram(ts, FixedOrder(2), grid, taper)
+        assert len(tapers) == 2 and None in tapers and taper in tapers
 
 
 # --- the fits a series keeps --------------------------------------------------
