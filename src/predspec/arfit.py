@@ -223,16 +223,29 @@ def _aic_rows(x: np.ndarray, max_order: int | None = None):
             raise DomainError("max_order must satisfy 1 <= max_order <= n-2")
     coeffs, sigma2 = _yule_walker_rows(x, k_n)
 
-    # lags[:, j-1, i] holds x[t-j] for the residual window t = k_n+1..n (1-based);
-    # row p-1 of the product is the order-p prediction, minus x[t] the negated residual
-    lags = np.array([x[:, k_n - j : n - j] for j in range(1, k_n + 1)]).transpose(1, 0, 2)
-    resid = coeffs[:, 1:, :] @ lags
-    resid -= x[:, None, k_n:]
-    s2 = np.einsum("ipt,ipt->ip", resid, resid) / (n - k_n)
-    if (s2 <= 0.0).any():
-        p = int((s2 <= 0.0).any(axis=0).argmax()) + 1
-        raise NumericalError(f"zero residual variance at order {p}: the criterion would be -inf")
-    aic = np.log(s2) + 2.0 * np.arange(1, k_n + 1) / n
+    # The order-p residual at t (1-based) is v_p . w_t, with v_p = (1, -a_p)
+    # zero-padded to k_n+1 terms and w_t = (x[t], .., x[t-k_n]), zero outside
+    # 1..n.  Over every t = 1..n+k_n the products w_t w_t' sum to n*Gamma,
+    # Gamma the Toeplitz matrix of c(0..k_n), and the Yule-Walker coefficients
+    # solve the first p+1 rows of Gamma v_p = (sigma2_p, 0, .., 0), so
+    # v_p' Gamma v_p = sigma2_p.  The window t = k_n+1..n is that sum less the
+    # k_n head windows (t <= k_n) and the k_n tail windows (t > n):
+    #   (n - k_n) * s2_p = n * sigma2_p - sum over the edge of (v_p . w_t)**2.
+    # The edge windows read only x[n-k_n+1..n] and x[1..k_n]: laid out as
+    # edge = (tail, k_n zeros, head), the window ending at v = k_n..3k_n-1
+    # (t = n+1+v-k_n, then t = v-2k_n+1) holds x[t-j] at v-j, here w[:, j, v-k_n].
+    # This costs O(k_n**3) per row whatever n, and no array grows with n.
+    edge = np.concatenate((x[:, n - k_n :], np.zeros((rows, k_n)), x[:, :k_n]), axis=1)
+    w = edge.take(np.arange(k_n, 3 * k_n) - np.arange(k_n + 1)[:, None], axis=1)
+    e = np.einsum("ipj,ijt->ipt", coeffs[:, 1:, :], w[:, 1:, :]) - w[:, None, 0, :]
+    rss = n * sigma2[:, 1:] - np.einsum("ipt,ipt->ip", e, e)
+    # Rounding leaves a true zero (a lone spike in the head) as a number of
+    # either sign some 1e-16 of the scale n*sigma2_p; a residual sum below
+    # 1e-12 of that scale is zero to the precision of the identity.
+    zero = (rss <= 1e-12 * n * sigma2[:, 1:]).any(axis=0)
+    if zero.any():
+        raise NumericalError(f"zero residual variance at order {zero.argmax() + 1}: the criterion would be -inf")
+    aic = np.log(rss / (n - k_n)) + np.arange(2, 2 * k_n + 1, 2) / n
     orders = aic.argmin(axis=1) + 1
     pick = np.arange(rows)
     return orders, coeffs[pick, orders], sigma2[pick, orders], aic
@@ -244,6 +257,20 @@ def aic_select(ts: TimeSeries, max_order: int | None = None) -> OrderSelection:
     k_n defaults to floor(n**0.4), clamped to [1, n-2].  The residual variance
     for every candidate p uses the common window t = k_n+1..n so criteria are
     comparable; ties resolve to the smaller order.
+
+    No residual is formed.  With v_p = (1, -a_p) and w_t = (x[t], .., x[t-k_n])
+    (zero outside 1..n), the windows of all t = 1..n+k_n sum to n*Gamma, the
+    Toeplitz matrix of the sample autocovariances, and the Yule-Walker
+    solution has v_p' Gamma v_p = sigma2_p, its Levinson innovation variance.
+    So the window's residual sum is
+
+        (n - k_n) * s2_p = n * sigma2_p - sum_{t <= k_n or t > n} (v_p . w_t)**2,
+
+    whose 2*k_n edge windows read only the first and last k_n values: O(k_n**3)
+    per series after the autocovariances, whatever n.  Its rounding error is
+    some eps * n * c(0) * |v_p|_1**2, so s2_p keeps about 1e-15 of its value on
+    well-conditioned series and less near a unit root or on a short window.
+    A residual sum below 1e-12 of n * sigma2_p raises NumericalError as zero.
     """
     orders, coeffs, sigma2, aic = _aic_rows(ts.values[None], max_order)
     p = int(orders[0])

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,13 +129,101 @@ def test_aic_default_candidate_cap():
     assert 1 <= sel.chosen_p <= 3
 
 
+# Reference: the residual path `_aic_rows` took before it read the residual
+# sums off Levinson's variances, kept to check that identity against.
+def _residual_variances(x, k_n):
+    """s2_p for p = 1..k_n on the window t = k_n+1..n of each row of x,
+    from the order-p residuals themselves."""
+    n = x.shape[1]
+    coeffs, _ = arfit._yule_walker_rows(x, k_n)
+    lags = np.array([x[:, k_n - j : n - j] for j in range(1, k_n + 1)]).transpose(1, 0, 2)
+    resid = coeffs[:, 1:, :] @ lags - x[:, None, k_n:]
+    return np.einsum("ipt,ipt->ip", resid, resid) / (n - k_n)
+
+
 def test_aic_rejects_zero_residual_variance():
-    # a lone spike leaves every candidate order with zero residuals on the
-    # common window: log(0) must surface as an error, not as an AIC of -inf
-    x = np.zeros(20)
-    x[0] = 1.0
-    with pytest.raises(NumericalError):
-        aic_select(TimeSeries(x))
+    # a lone spike among the first k_n values leaves every candidate order
+    # with zero residuals on the common window: log(0) must surface as an
+    # error, not as an AIC of -inf.  Taken as n*sigma2_p less the edge sum,
+    # that zero comes out as a rounding-sized number of either sign, so the
+    # zero test must raise exactly where the residual path finds zeros; so
+    # must a path whose values all lie in the first k_n - 1 places, which
+    # order 1 predicts exactly on the window
+    rng = np.random.default_rng(5)
+    for n in (20, 57, 300):
+        k_n = int(n**0.4)
+        for position in range(n):
+            for height in (1.0, 3e-7, -2e5):
+                x = np.zeros(n)
+                x[position] = height
+                if position >= k_n:
+                    assert _residual_variances(x[None], k_n).all()
+                    assert aic_select(TimeSeries(x)).chosen_p == 1
+                    continue
+                assert not _residual_variances(x[None], k_n).any()
+                with pytest.raises(NumericalError, match="zero residual variance at order 1"):
+                    aic_select(TimeSeries(x))
+        x = np.zeros(n)
+        x[: k_n - 1] = rng.standard_normal(k_n - 1)
+        assert not _residual_variances(x[None], k_n)[0, 0]
+        with pytest.raises(NumericalError, match="zero residual variance at order 1"):
+            aic_select(TimeSeries(x))
+
+
+@st.composite
+def _aic_paths(draw):
+    """1 to 8 paths of length 4 to 600 (white noise, random walks, or AR(1)
+    paths from zero with a root within 1e-4..0.1 of the unit circle) and a
+    candidate cap: the default, or up to min(n - 2, 120), so up to n - 2
+    itself for n <= 122 (the edge sums cost O(k_n**3) per row)."""
+    n = draw(st.integers(4, 600))
+    noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((draw(st.integers(1, 8)), n))
+    kind = draw(st.sampled_from(["noise", "walk", "near-unit-root"]))
+    if kind == "walk":
+        x = np.cumsum(noise, axis=1)
+    elif kind == "near-unit-root":
+        x = scipy.signal.lfilter([1.0], [1.0, draw(st.floats(1e-4, 0.1)) - 1.0], noise, axis=1)
+    else:
+        x = noise
+    cap = min(n - 2, 120)
+    return x, draw(st.none() | st.just(cap) | st.integers(1, cap))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_aic_paths())
+def test_aic_matches_residual_path(case):
+    """The AIC read off Levinson's variances chooses the residual path's
+    orders, and its s2_p agree within 1e-12 relative plus the rounding of
+    the identity, 32 * eps * n * c(0) * |v_p|_1**2 / (n - k_n): the residual
+    sum is n*sigma2_p less the edge sum, both carrying the rounding of the
+    sample autocovariances.  That second term is below 1e-13 relative on
+    white noise at the default cap; near a unit root, and on a window of a
+    few points, it admits the identity's loss (s2_p within about 1e-11
+    relative measured for an AR(1) root 1e-4 from the circle)."""
+    x, max_order = case
+    n = x.shape[1]
+    orders, _, _, aic = arfit._aic_rows(x, max_order)
+    k_n = aic.shape[1]
+    reference = _residual_variances(x, k_n)
+    p = np.arange(1, k_n + 1)
+    np.testing.assert_array_equal(orders, (np.log(reference) + 2.0 * p / n).argmin(axis=1) + 1)
+    coeffs, _ = arfit._yule_walker_rows(x, k_n)
+    rounding = n * np.mean(x * x, axis=1)[:, None] * (1.0 + np.abs(coeffs[:, 1:]).sum(axis=2)) ** 2 / (n - k_n)
+    s2 = np.exp(aic - 2.0 * p / n)
+    assert (np.abs(s2 - reference) <= 1e-12 * reference + 32 * np.finfo(float).eps * rounding).all()
+
+
+def test_aic_memory_does_not_grow_with_n_times_order():
+    # no array of n * k_n entries: one such array is 44 MB at n = 2**16 (k_n = 84)
+    ts = simulate_arma(builtin_models("m2"), 2**16, 3)
+    tracemalloc.start()
+    try:
+        sel = aic_select(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sel.k_n == 84
+    assert peak < 4e6
 
 
 def test_aic_determinism():

@@ -147,6 +147,26 @@ def test_shared_block_pass_matches_single_series(data):
     _assert_block_matches_single(data.draw(_spec_lists(a)), x[:12], grid)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_ar_block(kmax=0.999), st.booleans(), st.none() | st.integers(1, 40))
+def test_aic_block_rows_equal_single_rows(case, random_walk, max_order):
+    """Each row of an `_aic_rows` block, of 1, 2, 3, 7, 32 or all its rows,
+    has the order, coefficients, variance and AIC values of a one-row call
+    bit for bit, so a near-tie resolves alike in the runner's blocks and in
+    `evaluate_estimator`."""
+    _, x, _ = case
+    if random_walk:
+        x = np.cumsum(x, axis=1)
+    if max_order is not None:
+        max_order = min(max_order, x.shape[1] - 2)
+    single = [_aic_rows(x[r : r + 1], max_order) for r in range(x.shape[0])]
+    for size in sorted({1, 2, 3, 7, 32, x.shape[0]}):
+        block = _aic_rows(x[:size], max_order)
+        for r, one in enumerate(single[:size]):
+            for got, want in zip(block, one):
+                np.testing.assert_array_equal(got[r], want[0])
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_ar_block(kmax=0.999), st.booleans())
 def test_aic_fitted_rows_are_causal(case, random_walk):
