@@ -130,6 +130,13 @@ class ArmaModel:
         return ArModel(self.ar, self.sigma2)
 
 
+def _arma(model) -> ArmaModel:
+    """`model`, or DomainError unless it is an ArmaModel."""
+    if not isinstance(model, ArmaModel):
+        raise DomainError(f"model must be an ArmaModel, got {model!r}")
+    return model
+
+
 def _levinson_rows(c: np.ndarray, pmax: int):
     """Levinson recursion up to order pmax on each row of c (rows, >= pmax+1).
 
@@ -356,7 +363,7 @@ def arma_expand(model: ArmaModel, M: int | None = None) -> ArmaExpansion:
     AR expansion requires the MA polynomial to have all roots strictly
     outside the unit circle.
     """
-    if model.q and np.max(np.abs(_recursion_roots(-model.ma))) >= _CAUSAL_RADIUS:
+    if _arma(model).q and np.max(np.abs(_recursion_roots(-model.ma))) >= _CAUSAL_RADIUS:
         raise DomainError("AR-series expansion requires a strictly invertible MA polynomial")
     if M is not None:
         _integer(M, "expansion length", 1)

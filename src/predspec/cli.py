@@ -206,8 +206,8 @@ def _cmd_periodogram(args, argv) -> int:
 
 def _cmd_smooth(args, argv) -> int:
     ts = _load_input(args)
-    pg = _estimate(args, ts, FrequencyGrid.fourier(ts.n))
     window = spectral_window(args.window, _number(int, args.m, "--m"))
+    pg = _estimate(args, ts, FrequencyGrid.fourier(ts.n))
     sm = smooth_periodogram(pg, window)
     _write_columns(
         args.out,
@@ -363,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("smooth", help="window-smoothed periodogram")
     _add_series_flags(p)
-    p.add_argument("--window", required=True, choices=["daniell", "bartlett", "hann"])
+    p.add_argument("--window", required=True, help="smoothing window kind")
     p.add_argument("--m", required=True, help="window half-width")
     p.set_defaults(func=_cmd_smooth)
 
@@ -393,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("verify", help="run oracle identity checks")
-    p.add_argument("--suite", default="all", choices=["unbiasedness", "oracle", "all"])
+    p.add_argument("--suite", default="all", help="which check suite to run")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -41,7 +41,6 @@ __all__ = [
     "TruncatedInfinite",
     "AutoAIC",
     "FixedOrder",
-    "ModelSource",
     "predictive_dft",
     "predictive_dft_matrix",
     "predictive_dft_truncated_infinite",
@@ -56,6 +55,11 @@ class Explicit:
     """Use a known AR model (the no-estimation, true-model variant)."""
 
     model: ArModel
+
+    def __post_init__(self):
+        if not isinstance(self.model, ArModel):
+            raise DomainError(f"Explicit needs an ArModel, got {self.model!r}; "
+                              "convert an ArmaModel with no MA part by .pure_ar()")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .exceptions import DomainError, NumericalError
 TWO_PI = 2.0 * np.pi
 
 __all__ = [
-    "TWO_PI",
     "TimeSeries",
     "FrequencyGrid",
     "CovarianceSequence",
@@ -37,14 +36,14 @@ __all__ = [
 ]
 
 
-def _vector(obj, attr: str, what: str, dtype=float, empty: bool = False) -> np.ndarray:
-    """Replace a frozen dataclass's `attr` by a read-only 1-d ndarray copy.
+def _array(value, what: str, dtype=float, empty: bool = False) -> np.ndarray:
+    """`value` as a read-only 1-d ndarray copy.
 
     Raises DomainError unless the values are finite numbers forming a 1-d
     array, non-empty unless `empty` allows it.
     """
     try:
-        arr = np.array(getattr(obj, attr), dtype=dtype)
+        arr = np.array(value, dtype=dtype)
     except (TypeError, ValueError):
         raise DomainError(f"{what} must be an array of numbers") from None
     if arr.ndim != 1 or (arr.size < 1 and not empty):
@@ -52,6 +51,12 @@ def _vector(obj, attr: str, what: str, dtype=float, empty: bool = False) -> np.n
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} must be finite")
     arr.setflags(write=False)
+    return arr
+
+
+def _vector(obj, attr: str, what: str, dtype=float, empty: bool = False) -> np.ndarray:
+    """Replace a frozen dataclass's `attr` by its `_array` form."""
+    arr = _array(getattr(obj, attr), what, dtype, empty)
     object.__setattr__(obj, attr, arr)
     return arr
 

@@ -4,6 +4,8 @@ Two failure families are distinguished so callers (and the CLI exit codes)
 can tell bad inputs apart from numerical breakdown on valid-looking inputs.
 """
 
+__all__ = ["PredspecError", "DomainError", "NumericalError"]
+
 
 class PredspecError(Exception):
     """Base class for all errors raised by this package."""

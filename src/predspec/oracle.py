@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .core import CovarianceSequence, FrequencyGrid, TimeSeries, _integer
+from .core import CovarianceSequence, FrequencyGrid, TimeSeries, _array, _integer
 from .exceptions import DomainError, NumericalError
 
 __all__ = [
@@ -114,10 +114,10 @@ def expected_quadratic(v: np.ndarray, w: np.ndarray, cov: CovarianceSequence):
 
     Returns (mean, variance) with mean complex and variance real.
     """
-    v = np.asarray(v, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    if v.ndim != 1 or w.ndim != 1 or v.size != w.size or v.size < 1:
-        raise DomainError("linear-form vectors must be 1-d and of equal length")
+    v = _array(v, "linear form v", complex)
+    w = _array(w, "linear form w", complex)
+    if v.size != w.size:
+        raise DomainError("linear-form vectors must be of equal length")
     n = v.size
     if cov.max_lag < n - 1:
         raise DomainError(
@@ -143,6 +143,7 @@ def fejer_expected_periodogram(
     converges spectrally, so a few thousand points give ~machine accuracy.
     """
     n = _integer(n, "series length", 1)
+    (omega,) = _array([omega], "frequency omega")
     _integer(quadrature_points, "quadrature point count", 256)
     lam = 2.0 * np.pi * (np.arange(quadrature_points) + 0.5) / quadrature_points
     u = omega - lam

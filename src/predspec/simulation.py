@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arfit import ArmaModel, _arma_autocov, _filter, _polynomials
+from .arfit import ArmaModel, _arma, _arma_autocov, _filter, _polynomials
 from .complete import Explicit, _estimate_block
 from .core import FrequencyGrid, TimeSeries, _integer, _positive
 from .estimators import EstimatorSpec, _plans
@@ -78,7 +78,7 @@ def simulate_arma(model: ArmaModel, n: int, seed: int) -> TimeSeries:
     Identical (model, n, seed) inputs give bit-identical output.
     """
     n, seed = _integer(n, "sample length", 1), _integer(seed, "seed", 0)
-    return TimeSeries(_simulate_rows(model, n, [seed])[0])
+    return TimeSeries(_simulate_rows(_arma(model), n, [seed])[0])
 
 
 def builtin_models(which: str, lam: float | None = None) -> ArmaModel:
@@ -129,8 +129,7 @@ class ExperimentSpec:
     acf_points: int = 500
 
     def __post_init__(self):
-        if not isinstance(self.model, ArmaModel):
-            raise DomainError(f"model must be an ArmaModel, got {self.model!r}")
+        _arma(self.model)
         try:
             object.__setattr__(self, "estimators", tuple(self.estimators))
         except TypeError:

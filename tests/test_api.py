@@ -20,7 +20,9 @@ _PUBLIC = [
     "yule_walker_fit",
 ]
 
-_SUBMODULES = ("arfit", "complete", "core", "estimators", "integrated", "oracle", "simulation", "verify")
+# the modules the package re-exports, in the order their names are appended
+_EXPORTED = ("arfit", "complete", "core", "estimators", "exceptions", "integrated", "oracle", "simulation")
+_SUBMODULES = _EXPORTED + ("verify",)
 
 
 def test_public_names_are_pinned_and_resolve():
@@ -30,3 +32,17 @@ def test_public_names_are_pinned_and_resolve():
         assert len(set(module.__all__)) == len(module.__all__), name
         for attr in module.__all__:
             assert hasattr(module, attr), f"{name}.{attr}"
+
+
+def test_package_names_are_the_submodules_names():
+    # each name is declared once, in its module: none is exported by two
+    # modules, so no star import can shadow another module's name
+    exported = [name for sub in _EXPORTED for name in importlib.import_module(f"predspec.{sub}").__all__]
+    assert predspec.__all__ == exported
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from predspec import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == _PUBLIC

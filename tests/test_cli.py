@@ -112,6 +112,7 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["periodogram", str(good), "--taper-d", "abc"],
         [],
         ["verify", "--suite", "bogus"],
+        ["smooth", str(good), "--window", "bogus", "--m", "2"],
         # one spelling of a number: no underscores, leading "+", spaces or "inf"
         ["whittle", str(good), "--family", "ar:1_0"],
         ["whittle", str(good), "--family", "ar:+1"],
@@ -390,8 +391,9 @@ def test_other_number_spellings_rejected(kind, token):
 _IMPORT_PROBE = """
 import sys
 import predspec
-from predspec.cli import main
 assert "scipy.signal" not in sys.modules, "import predspec"
+assert "predspec.cli" not in sys.modules and "predspec.verify" not in sys.modules
+from predspec.cli import main
 for kind in ("regular", "complete"):
     assert main(["periodogram", sys.argv[1], "--kind", kind]) == 0
     assert "scipy.signal" not in sys.modules, kind
@@ -400,7 +402,8 @@ for kind in ("regular", "complete"):
 
 def test_analysis_does_not_import_scipy_signal(tmp_path):
     # scipy.signal costs more to import than the rest of predspec; only the
-    # ARMA filter (simulation and expansions) loads it
+    # ARMA filter (simulation and expansions) loads it.  `import predspec`
+    # also leaves the CLI and the verify suites unloaded.
     src = tmp_path / "x.csv"
     _write_series(src, np.random.default_rng(3).standard_normal(64))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(src)],

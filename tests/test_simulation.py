@@ -28,6 +28,7 @@ from predspec import (
     ar_family,
     arma_expand,
     builtin_models,
+    expected_quadratic,
     fejer_expected_periodogram,
     finite_predictor_coeffs,
     levinson_durbin,
@@ -210,6 +211,40 @@ _PG = raw_periodogram(_TS, FrequencyGrid.fourier(20))
 )
 def test_non_positive_numbers_rejected(call):
     with pytest.raises(DomainError, match="must be a positive finite number"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: expected_quadratic(["a"], ["b"], _COV),
+        lambda: expected_quadratic([np.nan, 1.0], [1.0, 1.0], _COV),
+        lambda: expected_quadratic([1.0, 1.0], [1.0, np.inf], _COV),
+        lambda: expected_quadratic([[1.0, 1.0]], [[1.0, 1.0]], _COV),
+        lambda: fejer_expected_periodogram(_M1.density, 20, "x"),
+        lambda: fejer_expected_periodogram(_M1.density, 20, np.nan),
+        lambda: fejer_expected_periodogram(_M1.density, 20, [1.0, 2.0]),
+    ],
+    ids=["quadratic-str", "quadratic-nan", "quadratic-inf", "quadratic-2d", "fejer-omega-str",
+         "fejer-omega-nan", "fejer-omega-list"],
+)
+def test_non_finite_or_non_numeric_values_rejected(call):
+    with pytest.raises(DomainError, match="array of numbers|must be finite|1-d array"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: Explicit(builtin_models("m1", 0.9)), r"needs an ArModel.*\.pure_ar\(\)"),
+        (lambda: simulate_arma(ArModel([0.5], 1.0), 10, 0), "must be an ArmaModel"),
+        (lambda: arma_expand(ArModel([0.5], 1.0)), "must be an ArmaModel"),
+        (lambda: ExperimentSpec(**{**_SPEC, "model": ArModel([0.5], 1.0)}), "must be an ArmaModel"),
+    ],
+    ids=["explicit-arma", "simulate-ar", "expand-ar", "experiment-ar"],
+)
+def test_wrong_model_type_rejected(call, match):
+    with pytest.raises(DomainError, match=match):
         call()
 
 
