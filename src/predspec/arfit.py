@@ -56,7 +56,7 @@ def _transfer_polynomial(coeffs: np.ndarray, freqs) -> np.ndarray:
     return 1.0 - np.inner(coeffs, _ar_phases(freqs, coeffs.shape[-1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArModel:
     """Causal AR(p) model: coefficients a[1..p] and innovation variance."""
 
@@ -82,7 +82,7 @@ class ArModel:
         return self.sigma2 / (aw.real**2 + aw.imag**2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArmaModel:
     """Causal ARMA(P, Q): x[t] = sum ar[i] x[t-i] + e[t] + sum ma[j] e[t-j].
 
@@ -182,8 +182,6 @@ def _yule_walker_rows(x: np.ndarray, p: int):
     if _integer(p, "order", 0) >= x.shape[-1]:
         raise DomainError("order must satisfy 0 <= p < n")
     c = _autocov_rows(x, p)
-    if not np.isfinite(c).all():
-        raise NumericalError("sample autocovariances overflow: the series is too large")
     if (c[:, 0] <= 0.0).any():
         raise NumericalError("series is constant: zero sample variance")
     return _levinson_rows(c, p)
@@ -195,7 +193,7 @@ def yule_walker_fit(ts: TimeSeries, p: int) -> ArModel:
     return ArModel(coeffs[0, p, :p], float(sigma2[0, p]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderSelection:
     """Result of information-criterion order selection over 1..k_n."""
 
@@ -285,7 +283,7 @@ def aic_select(ts: TimeSeries, max_order: int | None = None) -> OrderSelection:
     return OrderSelection(chosen_p=p, k_n=aic.shape[1], aic_values=aic[0], model=model)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArmaExpansion:
     """Series expansions of an ARMA model truncated at M terms.
 
@@ -374,5 +372,5 @@ def arma_expand(model: ArmaModel, M: int | None = None) -> ArmaExpansion:
         keep = np.nonzero(np.abs(ar_inf) >= 1e-12)[0]
         M = int(keep[-1]) + 1 if keep.size else 1
         ar_inf = ar_inf[:M]
-    cov = CovarianceSequence(_arma_autocov(model, M), estimator="population")
+    cov = CovarianceSequence(_arma_autocov(model, M))
     return ArmaExpansion(ar_inf=ar_inf, autocov=cov)

@@ -157,12 +157,6 @@ def _add_series_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (.csv or .json; default stdout CSV)")
 
 
-def _add_quadrature_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", default="riemann", choices=["riemann", "fourier"])
-    p.add_argument("--riemann-points", dest="points", default=None,
-                   help="Riemann cells (default 500; --mode riemann only)")
-
-
 def _load_input(args) -> TimeSeries:
     ts = _read_series(args.input)
     return ts.center() if args.center else ts
@@ -175,15 +169,11 @@ def _estimate(args, ts: TimeSeries, grid: FrequencyGrid) -> PeriodogramEstimate:
     return pg if delta is None else threshold_real(pg, delta)
 
 
-def _mean_config(args) -> SpectralMeanConfig:
-    if args.mode == "fourier" and args.points is not None:
-        raise DomainError("--riemann-points applies only to --mode riemann")
-    if args.mode == "fourier":
-        mode = FourierSum()
-    elif args.points is None:
-        mode = RiemannIntegral()
-    else:
-        mode = RiemannIntegral(_number(int, args.points, "--riemann-points"))
+def _mean_config(args, ts: TimeSeries) -> SpectralMeanConfig:
+    """The spectral mean over `--grid`: the Fourier sum, or the midpoint rule
+    over the uniform grid's cells; floored by `--threshold` if set."""
+    grid = _parse_grid(args.grid, ts.n)
+    mode = FourierSum() if grid.kind == "fourier" else RiemannIntegral(grid.size)
     return SpectralMeanConfig(mode=mode, threshold=_parse_threshold(args.threshold))
 
 
@@ -220,7 +210,7 @@ def _cmd_smooth(args, argv) -> int:
 def _cmd_acf(args, argv) -> int:
     ts = _load_input(args)
     lags = _number(int, args.lags, "--lags")
-    autocov, acf = acf_estimate(ts, lags, _estimator_from_flags(args), _mean_config(args))
+    autocov, acf = acf_estimate(ts, lags, _estimator_from_flags(args), _mean_config(args, ts))
     _write_columns(
         args.out,
         _comment(argv),
@@ -239,7 +229,7 @@ def _cmd_whittle(args, argv) -> int:
         init = [_number(float, tok, "--init") for tok in args.init.split(",")]
     else:
         init = [0.0] * family.dim
-    result = whittle_fit(ts, family, _estimator_from_flags(args), init, _mean_config(args))
+    result = whittle_fit(ts, family, _estimator_from_flags(args), init, _mean_config(args, ts))
     _write_columns(
         args.out,
         _comment(argv),
@@ -349,6 +339,9 @@ def parse_experiment_config(text: str) -> ExperimentSpec:
 
 # ------------------------------------------------------------------- parser
 
+_MEAN_GRID_HELP = "spectral mean: 'fourier' (sum over the Fourier grid) or 'uniform:N' (N midpoint cells)"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="predspec",
@@ -370,14 +363,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("acf", help="autocovariance/ACF from a periodogram estimate")
     _add_series_flags(p)
     p.add_argument("--lags", required=True)
-    _add_quadrature_flags(p)
+    p.add_argument("--grid", default="uniform:500", help=_MEAN_GRID_HELP)
     p.set_defaults(func=_cmd_acf)
 
     p = sub.add_parser("whittle", help="fit a parametric spectral family")
     _add_series_flags(p)
     p.add_argument("--family", required=True, help="'ar:P'")
     p.add_argument("--init", default=None, help="comma-separated start point")
-    _add_quadrature_flags(p)
+    p.add_argument("--grid", default="uniform:500", help=_MEAN_GRID_HELP)
     p.set_defaults(func=_cmd_whittle)
 
     p = sub.add_parser("simulate", help="simulate a builtin model")

@@ -28,6 +28,7 @@ from .core import (
     Taper,
     TimeSeries,
     _dft_rows,
+    _finite,
     _integer,
     _periodogram_rows,
     _phase_sums,
@@ -43,7 +44,6 @@ __all__ = [
     "FixedOrder",
     "predictive_dft",
     "predictive_dft_matrix",
-    "predictive_dft_truncated_infinite",
     "complete_periodogram",
     "raw_periodogram",
     "threshold_real",
@@ -62,7 +62,7 @@ class Explicit:
                               "convert an ArmaModel with no MA part by .pure_ar()")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedInfinite:
     """Use a long AR coefficient sequence (e.g. an expanded ARMA model)."""
 
@@ -133,9 +133,34 @@ def _correction_rows(x: np.ndarray, a: np.ndarray, grid: FrequencyGrid) -> np.nd
     return (back + np.exp(1j * n * w) * fwd / np.conj(aw)) / np.sqrt(n)
 
 
-def _check_order(p: int, n: int) -> None:
-    if p > _integer(n, "series length", 1):
-        raise DomainError(f"closed form needs order p <= n (p={p}, n={n})")
+def _source_rows(x: np.ndarray, source: ModelSource, fits: dict | None = None):
+    """The fit record a source gives the rows of x (rows, n): (coeffs, orders).
+
+    `coeffs` is a (rows, m) block, or (1, m) for a known model or a truncated
+    sequence, and `orders` the per-row AR orders (None for a truncated
+    sequence).  A known AR(p) needs p <= n for the closed form.  A fitted
+    source (`AutoAIC`, `FixedOrder`) takes its record from `fits`, the
+    records already fitted to these rows keyed by source, and is fitted and
+    stored there only when missing, so equal sources share one fit; the
+    other sources need no `fits`.
+    """
+    rows, n = x.shape
+    if isinstance(source, Explicit):
+        if source.model.p > n:
+            raise DomainError(f"closed form needs order p <= n (p={source.model.p}, n={n})")
+        return source.model.coeffs[None], np.full(rows, source.model.p)
+    if isinstance(source, TruncatedInfinite):
+        return source.coeffs[None], None
+    if not isinstance(source, (AutoAIC, FixedOrder)):
+        raise DomainError(f"unknown model source {source!r}; a known ArModel is passed as Explicit(model)")
+    if source not in fits:
+        if isinstance(source, FixedOrder):
+            coeffs, _ = _yule_walker_rows(x, source.p)
+            fits[source] = coeffs[:, source.p, : source.p], np.full(rows, source.p)
+        else:
+            orders, coeffs, _, _ = _aic_rows(x, source.max_order)
+            fits[source] = coeffs[:, : orders.max()], orders
+    return fits[source]
 
 
 def predictive_dft_matrix(model: ArModel, n: int, grid: FrequencyGrid) -> np.ndarray:
@@ -146,52 +171,25 @@ def predictive_dft_matrix(model: ArModel, n: int, grid: FrequencyGrid) -> np.nda
     and last p rows are nonzero.  Row i is the correction of the i-th unit
     vector.
     """
-    _check_order(model.p, n)
-    return _correction_rows(np.eye(n), model.coeffs[None], grid)
+    x = np.eye(_integer(n, "series length", 1))
+    return _correction_rows(x, _source_rows(x, Explicit(model))[0], grid)
 
 
-def predictive_dft(ts: TimeSeries, model: ArModel, grid: FrequencyGrid) -> np.ndarray:
-    """Closed-form DFT of the best-linear-predictor extension under an AR(p).
+def predictive_dft(ts: TimeSeries, source: ModelSource, grid: FrequencyGrid) -> np.ndarray:
+    """Closed-form DFT of the best-linear-predictor extension, J-hat.
 
     Equals n**-0.5 times the two extension sums (backcasts at t <= 0,
-    forecasts at t > n) transformed at each grid frequency.  Requires
-    p <= n; an order-0 model yields zero correction.
+    forecasts at t > n) transformed at each grid frequency, under the AR
+    model the source gives: a known AR(p) with p <= n (`Explicit`), a long
+    coefficient sequence treated as zero beyond its end
+    (`TruncatedInfinite`, through which all n observations can contribute),
+    or one fitted to the series (`AutoAIC`, `FixedOrder`), which the series
+    keeps as `complete_periodogram` does.  An order-0 model yields zero
+    correction.  Values that overflow raise NumericalError.
     """
-    _check_order(model.p, ts.n)
-    return _correction_rows(ts.values[None], model.coeffs[None], grid)[0]
-
-
-def predictive_dft_truncated_infinite(
-    ts: TimeSeries, ar_coeffs: np.ndarray, grid: FrequencyGrid
-) -> np.ndarray:
-    """Predictive DFT driven by a truncated AR-series coefficient sequence.
-
-    The same two-sided closed form as `predictive_dft`, written against a
-    long coefficient vector a[1..M] (an expanded ARMA model, say) treated as
-    zero beyond M.  All n observations can contribute when M > n.
-    """
-    return _correction_rows(ts.values[None], TruncatedInfinite(ar_coeffs).coeffs[None], grid)[0]
-
-
-def _source_rows(x: np.ndarray, source: ModelSource):
-    """The AR coefficients a source gives each row of x (rows, n).
-
-    Returns (coeffs, orders): a (rows, m) block, or (1, m) for a known model,
-    and the per-row orders (None for a truncated sequence).
-    """
-    rows, n = x.shape
-    if isinstance(source, Explicit):
-        _check_order(source.model.p, n)
-        return source.model.coeffs[None], np.full(rows, source.model.p)
-    if isinstance(source, FixedOrder):
-        coeffs, _ = _yule_walker_rows(x, source.p)
-        return coeffs[:, source.p, : source.p], np.full(rows, source.p)
-    if isinstance(source, AutoAIC):
-        orders, coeffs, _, _ = _aic_rows(x, source.max_order)
-        return coeffs[:, : orders.max()], orders
-    if isinstance(source, TruncatedInfinite):
-        return source.coeffs[None], None
-    raise DomainError(f"unknown model source {source!r}")
+    x = ts.values[None]
+    return _finite(lambda: _correction_rows(x, _source_rows(x, source, ts._fits)[0], grid)[0],
+                   "predictive DFT overflows")
 
 
 def _estimate_block(plans, x: np.ndarray, grid: FrequencyGrid, fits: dict | None = None) -> list:
@@ -201,16 +199,14 @@ def _estimate_block(plans, x: np.ndarray, grid: FrequencyGrid, fits: dict | None
     block: the plain DFT once if a plan reads it (a completed plan or an
     untapered one does), and each taper's DFT and each source's completed
     DFT (J + predictive correction) once per object, whatever the number of
-    plans that hold it.  A fitted source (`AutoAIC`, `FixedOrder`) takes its
-    fit record, the `_source_rows` pair, from `fits`, the records already
-    fitted to these rows keyed by source, and is fitted only when missing
-    there, so equal sources share one fit.  `_estimate` passes the series'
-    own store; by default the store is new and lives for this call, as in
-    the runner's blocks.  Returns one (values, orders) pair per plan: the
-    (rows, |grid|) values, real for the raw kinds and complex for the
-    completed ones, and the per-row AR orders (None for the raw kinds and a
-    truncated sequence).  A plan's rows do not depend on the other plans or
-    rows, nor on whether their fit came from the store.
+    plans that hold it.  A fitted source's record comes from `fits` (see
+    `_source_rows`): `_estimate` passes the series' own store; by default
+    the store is new and lives for this call, as in the runner's blocks.
+    Returns one (values, orders) pair per plan: the (rows, |grid|) values,
+    real for the raw kinds and complex for the completed ones, and the
+    per-row AR orders (None for the raw kinds and a truncated sequence).  A
+    plan's rows do not depend on the other plans or rows, nor on whether
+    their fit came from the store.
     """
     fits = {} if fits is None else fits
     shared = {}
@@ -224,12 +220,7 @@ def _estimate_block(plans, x: np.ndarray, grid: FrequencyGrid, fits: dict | None
         return once(x if taper is None else taper, lambda: _dft_rows(x, grid, taper))
 
     def completed(source):
-        if isinstance(source, (AutoAIC, FixedOrder)):
-            if source not in fits:
-                fits[source] = _source_rows(x, source)
-            a, orders = fits[source]
-        else:
-            a, orders = _source_rows(x, source)
+        a, orders = _source_rows(x, source, fits)
         return dft(None) + _correction_rows(x, a, grid), orders
 
     out = []
@@ -256,10 +247,10 @@ def _estimate(
     here, with the series' own fit store, so its rows equal the runner's
     block rows bit for bit.  Values that overflow raise NumericalError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        [(values, orders)] = _estimate_block([(taper, source)], ts.values[None], grid, ts._fits)
-    if not np.all(np.isfinite(values)):
-        raise NumericalError("periodogram overflows: the series is too large")
+    x = ts.values[None]
+    [values] = _finite(lambda: _estimate_block([(taper, source)], x, grid, ts._fits)[0][0], "periodogram overflows")
+    # the block stored a fitted source's record, so this fits nothing
+    orders = None if source is None else _source_rows(x, source, ts._fits)[1]
     if source is None:
         kind = "regular" if taper is None else "tapered"
     elif taper is not None:
@@ -270,7 +261,7 @@ def _estimate(
         order=None if orders is None else int(orders[0]),
         taper=None if taper is None else taper.description,
     )
-    return PeriodogramEstimate(grid, values[0], kind=kind, meta=meta)
+    return PeriodogramEstimate(grid, values, kind=kind, meta=meta)
 
 
 def raw_periodogram(

@@ -76,6 +76,16 @@ def _integer(value, name: str, least: int | None = None) -> int:
     raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+def _finite(compute, what: str) -> np.ndarray:
+    """compute(), an array, with numpy's overflow warnings silenced; raises
+    NumericalError "<what>: the series is too large" unless every value is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = compute()
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{what}: the series is too large")
+    return values
+
+
 def _positive(value, name: str) -> float:
     """`value` as a float, or DomainError unless it is a finite real number > 0 (not a bool)."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 < value < math.inf:
@@ -83,7 +93,11 @@ def _positive(value, name: str) -> float:
     raise DomainError(f"{name} must be a positive finite number, got {value!r}")
 
 
-@dataclass(frozen=True)
+# The dataclasses that hold an ndarray set eq=False: a generated __eq__ would
+# compare arrays elementwise and raise on truth testing, so they compare by
+# identity.
+
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """An observed real-valued series x[1..n] (stored 0-based).
 
@@ -95,7 +109,7 @@ class TimeSeries:
     """
 
     values: np.ndarray
-    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fits: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         _vector(self, "values", "time series")
@@ -109,11 +123,7 @@ class TimeSeries:
 
         Raises NumericalError when the mean or the centred values overflow.
         """
-        with np.errstate(over="ignore"):
-            centered = self.values - self.values.mean()
-        if not np.all(np.isfinite(centered)):
-            raise NumericalError("centring overflows: the series is too large")
-        return TimeSeries(centered)
+        return TimeSeries(_finite(lambda: self.values - self.values.mean(), "centring overflows"))
 
 
 def _lattice(M: int, kind: str) -> np.ndarray:
@@ -122,7 +132,7 @@ def _lattice(M: int, kind: str) -> np.ndarray:
     return TWO_PI * (np.arange(M) + (0.5 if kind == "uniform" else 0.0)) / M
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyGrid:
     """Strictly increasing frequencies in [0, 2*pi).
 
@@ -164,29 +174,22 @@ class FrequencyGrid:
         return cls(frequencies, kind="explicit")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceSequence:
-    """Autocovariances c(0..L) with provenance.
+    """Autocovariances c(0..L), model-derived or sampled.
 
-    estimator: "population" for model-derived values, "biased-sample" for the
-    divisor-n sample estimator (whose lag values are dominated by c(0)).
+    Any autocovariance sequence satisfies |c(k)| <= c(0), so c(0) = 0 forces
+    every lag to vanish.
     """
 
     lags: np.ndarray
-    estimator: str = "biased-sample"
 
     def __post_init__(self):
         c = _vector(self, "lags", "covariance sequence")
-        if self.estimator not in ("population", "biased-sample"):
-            raise DomainError(f"unknown covariance estimator {self.estimator!r}")
-        c0 = c[0]
-        if c0 < 0.0:
+        if c[0] < 0.0:
             raise DomainError("variance c(0) must be nonnegative")
-        if c0 == 0.0 and np.any(c != 0.0):
-            raise DomainError("c(0) = 0 requires all lags to vanish")
-        if self.estimator == "biased-sample" and c0 > 0.0:
-            if np.any(np.abs(c[1:]) > c0 * (1.0 + 1e-12)):
-                raise DomainError("biased-sample autocovariance must satisfy |c(k)| <= c(0)")
+        if np.any(np.abs(c[1:]) > c[0] * (1.0 + 1e-12)):
+            raise DomainError("autocovariance must satisfy |c(k)| <= c(0)")
 
     @property
     def max_lag(self) -> int:
@@ -201,7 +204,7 @@ class CovarianceSequence:
         return scipy.linalg.toeplitz(self.lags[:n])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Taper:
     """Data-taper weights rescaled so they sum to n.
 
@@ -269,7 +272,7 @@ _PG_KINDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodogramEstimate:
     """Periodogram-type values on a frequency grid.
 
@@ -302,12 +305,19 @@ class PeriodogramEstimate:
 
 
 def _autocov_rows(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased sample autocovariances c(0..max_lag) of each row of x (rows, n)."""
+    """Biased sample autocovariances c(0..max_lag) of each row of x (rows, n).
+
+    Raises NumericalError when they overflow.
+    """
     rows, n = x.shape
-    c = np.empty((rows, max_lag + 1))
-    for k in range(max_lag + 1):
-        c[:, k] = np.einsum("ij,ij->i", x[:, : n - k], x[:, k:])
-    return c / n
+
+    def lags():
+        c = np.empty((rows, max_lag + 1))
+        for k in range(max_lag + 1):
+            c[:, k] = np.einsum("ij,ij->i", x[:, : n - k], x[:, k:])
+        return c / n
+
+    return _finite(lags, "sample autocovariances overflow")
 
 
 def sample_autocov(ts: TimeSeries, max_lag: int) -> CovarianceSequence:
@@ -318,7 +328,7 @@ def sample_autocov(ts: TimeSeries, max_lag: int) -> CovarianceSequence:
     """
     if _integer(max_lag, "max_lag", 0) >= ts.n:
         raise DomainError("lag exceeds sample")
-    return CovarianceSequence(_autocov_rows(ts.values[None], max_lag)[0], estimator="biased-sample")
+    return CovarianceSequence(_autocov_rows(ts.values[None], max_lag)[0])
 
 
 def _phase_sums(x: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
@@ -357,9 +367,10 @@ def dft(ts: TimeSeries, grid: FrequencyGrid, taper: Taper | None = None) -> np.n
 
     With a taper the rescaled weights (summing to n) multiply the data; with
     none, h is identically 1.  Lattice grids are evaluated by one FFT, explicit
-    grids by the direct sum (see `_phase_sums`).
+    grids by the direct sum (see `_phase_sums`).  Values that overflow raise
+    NumericalError.
     """
-    return _dft_rows(ts.values[None], grid, taper)[0]
+    return _finite(lambda: _dft_rows(ts.values[None], grid, taper)[0], "DFT overflows")
 
 
 def _periodogram_rows(j: np.ndarray, taper: Taper | None = None) -> np.ndarray:

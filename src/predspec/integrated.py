@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralWindow:
     """Normalized smoothing weights W(-m..m), summing to 1."""
 
@@ -265,7 +265,7 @@ def ar_family(p: int) -> SpectralFamily:
     return SpectralFamily(on_grid=on_grid, bounds=((-_AR_LIMIT, _AR_LIMIT),) * p, name=f"ar({p})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WhittleResult:
     theta: np.ndarray
     value: float

@@ -160,7 +160,7 @@ class ExperimentSpec:
             raise DomainError("acf_lags must satisfy 1 <= lags < n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricRow:
     """Accuracy summary for one estimator.
 

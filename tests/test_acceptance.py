@@ -231,7 +231,7 @@ def test_criterion_8_predictive_dft_oracle_equivalence():
         ts = TimeSeries(rng.standard_normal(n))
         grid = FrequencyGrid.fourier(n)
         cov = arma_expand(model, M=n + 2 * horizon).autocov
-        closed = predictive_dft(ts, model.pure_ar(), grid)
+        closed = predictive_dft(ts, Explicit(model.pure_ar()), grid)
         brute = predictive_dft_bruteforce(ts, cov, grid, horizon=horizon)
         worst = max(worst, float(np.max(np.abs(closed - brute))))
         done += 1

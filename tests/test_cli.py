@@ -18,7 +18,7 @@ from predspec import (
     raw_periodogram,
     simulate_arma,
 )
-from predspec.cli import _CONFIG_KEYS, _number, main, parse_experiment_config
+from predspec.cli import _CONFIG_KEYS, _build_parser, _number, main, parse_experiment_config
 
 
 def _write_series(path, values, header=None):
@@ -106,7 +106,7 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["periodogram", str(good), "--kind", "regular", "--order", "3", "--taper-d", "99"],
         ["periodogram", str(good), "--kind", "complete", "--taper-d", "3"],
         ["smooth", str(good), "--kind", "tapered", "--order", "2", "--window", "daniell", "--m", "2"],
-        ["acf", str(good), "--lags", "2", "--mode", "fourier", "--riemann-points", "7"],
+        ["acf", str(good), "--lags", "2", "--grid", "uniform:7"],
         # argparse usage errors are returned, not raised as SystemExit
         ["acf", str(good)],
         ["periodogram", str(good), "--taper-d", "abc"],
@@ -124,7 +124,7 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["periodogram", str(good), "--grid", "uniform: 8"],
         ["smooth", str(good), "--window", "daniell", "--m", "+2"],
         ["acf", str(good), "--lags", "1_0"],
-        ["acf", str(good), "--lags", "2", "--riemann-points", "1_000"],
+        ["acf", str(good), "--lags", "2", "--grid", "uniform:1_000"],
         ["simulate", "--model", "m1:+0.5", "--n", "5", "--seed", "1"],
         ["simulate", "--model", "m1:0.5", "--n", "1_0", "--seed", "1"],
         ["simulate", "--model", "m1:0.5", "--n", "5", "--seed", " 1"],
@@ -315,6 +315,17 @@ def test_readme_config_example_parses():
     for key in optional:
         enabled = {"window", "m"} if key in ("window", "m") else {key}  # smoothing needs both
         parse_experiment_config(example + "".join(f"{k} = {optional[k]}\n" for k in enabled))
+
+
+def test_readme_cli_examples_parse():
+    # a documented command line with a stale or misspelt flag fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.splitlines() if line.startswith("predspec ")]
+    assert len(lines) >= 10
+    parser = _build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])
 
 
 def test_config_format_parse_roundtrip():

@@ -32,7 +32,6 @@ from predspec import (
     predictive_dft,
     predictive_dft_bruteforce,
     predictive_dft_matrix,
-    predictive_dft_truncated_infinite,
     raw_periodogram,
     simulate_arma,
     threshold_real,
@@ -46,7 +45,7 @@ from predspec.arfit import _transfer_polynomial
 def test_predictive_dft_ar0_is_zero():
     ts = TimeSeries([1.0, 2.0, -1.0])
     g = FrequencyGrid.fourier(3)
-    np.testing.assert_allclose(predictive_dft(ts, ArModel([], 1.0), g), 0.0)
+    np.testing.assert_allclose(predictive_dft(ts, Explicit(ArModel([], 1.0)), g), 0.0)
 
 
 def test_predictive_dft_ar1_hand_value():
@@ -57,7 +56,7 @@ def test_predictive_dft_ar1_hand_value():
     """
     ts = TimeSeries([1.0, 1.0])
     g = FrequencyGrid.explicit([0.0])
-    val = predictive_dft(ts, ArModel([0.5], 1.0), g)[0]
+    val = predictive_dft(ts, Explicit(ArModel([0.5], 1.0)), g)[0]
     assert val == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
@@ -65,7 +64,57 @@ def test_predictive_dft_order_cannot_exceed_n():
     ts = TimeSeries([1.0, 2.0])
     g = FrequencyGrid.fourier(2)
     with pytest.raises(DomainError):
-        predictive_dft(ts, ArModel([0.1, 0.1, 0.1], 1.0), g)
+        predictive_dft(ts, Explicit(ArModel([0.1, 0.1, 0.1], 1.0)), g)
+
+
+def test_predictive_dft_takes_a_model_source():
+    ts = TimeSeries([1.0, 2.0, -1.0, 0.5])
+    with pytest.raises(DomainError, match=r"Explicit\(model\)"):
+        predictive_dft(ts, ArModel([0.5], 1.0), FrequencyGrid.fourier(4))
+    with pytest.raises(DomainError, match="unknown model source None"):
+        predictive_dft(ts, None, FrequencyGrid.fourier(4))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_complete_periodogram_is_dft_plus_predictive_dft_times_conj(data):
+    """The complete periodogram is (J + J-hat) * conj(J_h) bit for bit, for
+    every model source, grid kind and taper, with the fit a series keeps."""
+    n = data.draw(st.integers(6, 60))
+    ts = TimeSeries(np.random.default_rng(data.draw(st.integers(0, 2**32))).standard_normal(n))
+    w = data.draw(st.lists(st.floats(0.0, 6.28), min_size=1, max_size=12, unique=True))
+    grids = (FrequencyGrid.fourier(n), FrequencyGrid.uniform(data.draw(st.integers(1, 80))),
+             FrequencyGrid.explicit(sorted(w)))
+    sources = (
+        Explicit(ArModel([0.5, -0.3], 1.0)),
+        TruncatedInfinite(0.6 ** np.arange(1, data.draw(st.integers(1, 2 * n)) + 1)),
+        AutoAIC(),
+        FixedOrder(data.draw(st.integers(0, 3))),
+    )
+    for source in sources:
+        for grid in grids:
+            for taper in (None, tukey_taper(n, data.draw(st.integers(1, n // 2)))):
+                got = complete_periodogram(ts, source, grid, taper).values
+                want = np.multiply(dft(ts, grid) + predictive_dft(ts, source, grid), np.conj(dft(ts, grid, taper)))
+                assert got.tobytes() == want.tobytes()
+
+
+def test_predictive_dft_reads_the_kept_fit():
+    ts = simulate_arma(builtin_models("m1", 0.8), 120, 4).center()
+    calls = []
+    aic_rows = complete._aic_rows
+
+    def spy(x, max_order=None):
+        calls.append(max_order)
+        return aic_rows(x, max_order)
+
+    with mock.patch.object(complete, "_aic_rows", spy):
+        complete_periodogram(ts, AutoAIC(), FrequencyGrid.fourier(ts.n))
+        kept = predictive_dft(ts, AutoAIC(), FrequencyGrid.uniform(33))
+        assert len(calls) == 1
+        fresh = predictive_dft(TimeSeries(ts.values), AutoAIC(), FrequencyGrid.uniform(33))
+        assert len(calls) == 2
+    assert kept.tobytes() == fresh.tobytes()
 
 
 def test_predictive_dft_matrix_agrees_with_vector_form():
@@ -74,7 +123,7 @@ def test_predictive_dft_matrix_agrees_with_vector_form():
     model = ArModel([0.5, -0.3], 1.0)
     g = FrequencyGrid.fourier(12)
     D = predictive_dft_matrix(model, 12, g)
-    np.testing.assert_allclose(ts.values @ D, predictive_dft(ts, model, g), rtol=1e-12)
+    np.testing.assert_allclose(ts.values @ D, predictive_dft(ts, Explicit(model), g), rtol=1e-12)
 
 
 def test_predictive_dft_only_touches_boundaries():
@@ -93,8 +142,8 @@ def test_truncated_infinite_matches_finite_ar():
     model = ArModel([0.5, -0.2], 1.0)
     padded = np.concatenate([model.coeffs, np.zeros(40)])
     np.testing.assert_allclose(
-        predictive_dft_truncated_infinite(ts, padded, g),
-        predictive_dft(ts, model, g),
+        predictive_dft(ts, TruncatedInfinite(padded), g),
+        predictive_dft(ts, Explicit(model), g),
         atol=1e-10,
     )
 
@@ -103,7 +152,7 @@ def test_truncated_infinite_zero_coeffs():
     ts = TimeSeries([1.0, -2.0, 3.0])
     g = FrequencyGrid.fourier(3)
     np.testing.assert_allclose(
-        predictive_dft_truncated_infinite(ts, np.zeros(5), g), 0.0
+        predictive_dft(ts, TruncatedInfinite(np.zeros(5)), g), 0.0
     )
 
 
@@ -115,8 +164,8 @@ def test_truncated_infinite_stability_in_m():
     g = FrequencyGrid.fourier(50)
     a400 = arma_expand(model, M=400).ar_inf
     a200 = a400[:200]
-    v200 = predictive_dft_truncated_infinite(ts, a200, g)
-    v400 = predictive_dft_truncated_infinite(ts, a400, g)
+    v200 = predictive_dft(ts, TruncatedInfinite(a200), g)
+    v400 = predictive_dft(ts, TruncatedInfinite(a400), g)
     assert np.max(np.abs(v200 - v400)) < 1e-8
 
 
@@ -125,7 +174,7 @@ def test_truncated_infinite_rejects_vanishing_transfer():
     g = FrequencyGrid.explicit([0.0])
     # a(0) = 1 - 1 = 0
     with pytest.raises(NumericalError):
-        predictive_dft_truncated_infinite(ts, np.array([1.0 - 1e-12]), g)
+        predictive_dft(ts, TruncatedInfinite(np.array([1.0 - 1e-12])), g)
     # the finite and the truncated sources share one guard: a causal AR(1)
     # with |a(0)| = 1e-9 must raise, not return values of order 1/|a(0)|
     series = simulate_arma(builtin_models("m1", 0.7), 100, 3)
@@ -176,7 +225,7 @@ def test_complete_periodogram_is_complete_dft_times_conj_dft():
     model = ArModel([0.0, -0.49], 1.0)
     pg = complete_periodogram(ts, Explicit(model), g)
     J = dft(ts, g)
-    Jhat = predictive_dft(ts, model, g)
+    Jhat = predictive_dft(ts, Explicit(model), g)
     np.testing.assert_allclose(pg.values, (J + Jhat) * np.conj(J), rtol=1e-12)
 
 
@@ -188,7 +237,7 @@ def test_taper_applies_to_conjugated_factor_only():
     pg = complete_periodogram(ts, Explicit(model), g, taper=t)
     J = dft(ts, g)
     Jh = dft(ts, g, t)
-    Jhat = predictive_dft(ts, model, g)
+    Jhat = predictive_dft(ts, Explicit(model), g)
     # the completed factor keeps the plain DFT; only the conjugate is tapered
     np.testing.assert_allclose(pg.values, (J + Jhat) * np.conj(Jh), rtol=1e-12)
 
@@ -211,7 +260,7 @@ def test_truncated_infinite_source_through_complete_periodogram():
     coeffs = arma_expand(model, M=300).ar_inf
     pg = complete_periodogram(ts, TruncatedInfinite(coeffs), g)
     assert pg.kind == "complete"
-    expected = dft(ts, g) + predictive_dft_truncated_infinite(ts, coeffs, g)
+    expected = dft(ts, g) + predictive_dft(ts, TruncatedInfinite(coeffs), g)
     np.testing.assert_allclose(pg.values, expected * np.conj(dft(ts, g)), rtol=1e-12)
 
 
@@ -280,11 +329,11 @@ def _correction_case(draw):
 @given(_correction_case())
 def test_correction_paths_agree(case):
     model, ts, grid, pad = case
-    vector = predictive_dft(ts, model, grid)
+    vector = predictive_dft(ts, Explicit(model), grid)
     tol = 1e-10 * max(1.0, float(np.max(np.abs(vector))))
     matrix = ts.values @ predictive_dft_matrix(model, ts.n, grid)
     padded = np.concatenate((model.coeffs, np.zeros(pad)))
-    truncated = predictive_dft_truncated_infinite(ts, padded, grid)
+    truncated = predictive_dft(ts, TruncatedInfinite(padded), grid)
     np.testing.assert_allclose(matrix, vector, rtol=0.0, atol=tol)
     np.testing.assert_allclose(truncated, vector, rtol=0.0, atol=tol)
     radius = np.max(np.abs(np.roots(np.concatenate(([1.0], -model.coeffs)))))

@@ -4,15 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predspec import (
+    ArModel,
+    AutoAIC,
     CovarianceSequence,
     DomainError,
+    Explicit,
+    FixedOrder,
     FrequencyGrid,
+    NumericalError,
     TimeSeries,
     Taper,
+    TruncatedInfinite,
     dft,
+    predictive_dft,
     raw_periodogram,
     sample_autocov,
     tukey_taper,
+    yule_walker_fit,
 )
 
 
@@ -121,12 +129,11 @@ def test_sample_autocov_toeplitz_psd():
 
 
 def test_covariance_sequence_validation():
-    CovarianceSequence([1.0, 0.5], estimator="population")
-    with pytest.raises(DomainError):
-        # biased-sample sequences must satisfy |c(k)| <= c(0)
-        CovarianceSequence([1.0, 1.5], estimator="biased-sample")
-    with pytest.raises(DomainError):
-        CovarianceSequence([-1.0, 0.0], estimator="population")
+    CovarianceSequence([1.0, 0.5])
+    # every autocovariance sequence, sampled or model-derived, has |c(k)| <= c(0)
+    for lags in ([1.0, 1.5], [1.0, 0.5, -1.5], [0.0, 0.1], [-1.0, 0.0]):
+        with pytest.raises(DomainError):
+            CovarianceSequence(lags)
 
 
 def test_dft_phase_convention():
@@ -250,3 +257,36 @@ def test_periodogram_estimate_kind_validation():
         PeriodogramEstimate(g, np.array([1.0, 1.0], dtype=complex), "regular", PgMeta())
     # complete estimates may be complex
     PeriodogramEstimate(g, np.array([1.0 + 0.3j, 1.0, 1.0]), "complete", PgMeta(order=2))
+
+
+_HUGE = TimeSeries([1.7e308, -1.7e308, 1.0, 1.7e308] * 4)
+_GRIDS = {
+    "fourier": FrequencyGrid.fourier(16),
+    "uniform": FrequencyGrid.uniform(7),
+    "explicit": FrequencyGrid.explicit([0.0, 1.0, 3.0]),
+}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: sample_autocov(_HUGE, 2), "sample autocovariances overflow"),
+        (lambda g: yule_walker_fit(_HUGE, 2), "sample autocovariances overflow"),
+        (lambda g: dft(_HUGE, g), "DFT overflows"),
+        (lambda g: dft(_HUGE, g, tukey_taper(16, 2)), "DFT overflows"),
+        (lambda g: predictive_dft(_HUGE, Explicit(ArModel([0.9], 1.0)), g), "predictive DFT overflows"),
+        (lambda g: predictive_dft(_HUGE, TruncatedInfinite([0.9, 0.0, 0.0]), g), "predictive DFT overflows"),
+        (lambda g: predictive_dft(_HUGE, AutoAIC(), g), "sample autocovariances overflow"),
+        (lambda g: predictive_dft(_HUGE, FixedOrder(1), g), "sample autocovariances overflow"),
+        (lambda g: raw_periodogram(_HUGE, g), "periodogram overflows"),
+    ],
+    ids=["sample_autocov", "yule_walker_fit", "dft", "tapered-dft", "predictive_dft-explicit",
+         "predictive_dft-truncated", "predictive_dft-aic", "predictive_dft-fixed", "raw_periodogram"],
+)
+@pytest.mark.parametrize("grid", list(_GRIDS), ids=list(_GRIDS))
+def test_overflow_is_numerical_error(call, message, grid):
+    # finite values near the float maximum: numerical breakdown with one
+    # message per quantity, not bad input, a numpy warning (an error under
+    # this suite's filterwarnings) or an infinity
+    with pytest.raises(NumericalError, match=f"^{message}: the series is too large$"):
+        call(_GRIDS[grid])
