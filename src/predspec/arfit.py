@@ -35,6 +35,12 @@ def _recursion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.roots(np.concatenate(([1.0], -np.asarray(coeffs, dtype=float))))
 
 
+def _causal(coeffs: np.ndarray) -> bool:
+    """Whether every recursion-polynomial root has modulus below _CAUSAL_RADIUS
+    (true for no coefficients): the causality rule of every AR model and fit."""
+    return not coeffs.size or bool(np.max(np.abs(_recursion_roots(coeffs))) < _CAUSAL_RADIUS)
+
+
 def _ar_phases(freqs, p: int) -> np.ndarray:
     """The phase table exp(-1j*j*w) for j = 1..p, shaped (*freqs.shape, p)."""
     return np.exp(-1j * np.multiply.outer(np.asarray(freqs, dtype=float), np.arange(1, p + 1)))
@@ -44,13 +50,13 @@ def _transfer_polynomial(coeffs: np.ndarray, freqs) -> np.ndarray:
     """1 - sum_j coeffs[..., j-1] * exp(-1j*j*w) at each frequency (1 when empty).
 
     Serves callers holding an array of frequencies: `ArModel.transfer`, the
-    `ArmaModel` polynomials and, through `_ar_phases`, `ar_family`.  Leading
+    `ArmaModel` polynomials and, through `_ar_phases`, `whittle_fit`.  Leading
     axes of `coeffs` are batch axes: a (rows, p) block gives one polynomial
     per row, shaped (rows, *freqs.shape).  A caller that evaluates many
-    coefficient vectors on one grid (`ar_family`) builds the `_ar_phases`
-    table once and repeats this contraction against it.  The predictive
-    correction does not call it: it reads a(w) off the FFT that also gives
-    its boundary sums (see `complete._correction_rows`).
+    coefficient vectors on one grid (`whittle_fit`'s Newton steps) builds the
+    `_ar_phases` table once and repeats this contraction against it.  The
+    predictive correction does not call it: it reads a(w) off the FFT that
+    also gives its boundary sums (see `complete._correction_rows`).
     """
     coeffs = np.asarray(coeffs, dtype=float)
     return 1.0 - np.inner(coeffs, _ar_phases(freqs, coeffs.shape[-1]))
@@ -66,7 +72,7 @@ class ArModel:
     def __post_init__(self):
         a = _vector(self, "coeffs", "AR coefficients", empty=True)
         _positive(self.sigma2, "innovation variance")
-        if a.size and np.max(np.abs(_recursion_roots(a))) >= _CAUSAL_RADIUS:
+        if not _causal(a):
             raise DomainError("AR model is not causal (root on or inside the unit circle)")
 
     @property
@@ -99,7 +105,7 @@ class ArmaModel:
         for name in ("ar", "ma"):
             _vector(self, name, f"{name} coefficients", empty=True)
         _positive(self.sigma2, "innovation variance")
-        if self.ar.size and np.max(np.abs(_recursion_roots(self.ar))) >= _CAUSAL_RADIUS:
+        if not _causal(self.ar):
             raise DomainError("AR part is not causal")
         if self.ma.size and np.max(np.abs(_recursion_roots(-self.ma))) > 1.0 + 1e-10:
             raise DomainError("MA polynomial root strictly inside the unit circle")
@@ -361,7 +367,7 @@ def arma_expand(model: ArmaModel, M: int | None = None) -> ArmaExpansion:
     AR expansion requires the MA polynomial to have all roots strictly
     outside the unit circle.
     """
-    if _arma(model).q and np.max(np.abs(_recursion_roots(-model.ma))) >= _CAUSAL_RADIUS:
+    if not _causal(-_arma(model).ma):
         raise DomainError("AR-series expansion requires a strictly invertible MA polynomial")
     if M is not None:
         _integer(M, "expansion length", 1)

@@ -225,16 +225,12 @@ def _cmd_whittle(args, argv) -> int:
     if name != "ar" or not param:
         raise DomainError("family must be 'ar:P' for an AR(P) spectral family")
     family = ar_family(_number(int, param, "the family order"))
-    if args.init is not None:
-        init = [_number(float, tok, "--init") for tok in args.init.split(",")]
-    else:
-        init = [0.0] * family.dim
-    result = whittle_fit(ts, family, _estimator_from_flags(args), init, _mean_config(args, ts))
+    result = whittle_fit(ts, family, _estimator_from_flags(args), [0.0] * family.p, _mean_config(args, ts))
     _write_columns(
         args.out,
         _comment(argv),
         {
-            "parameter": np.arange(1, family.dim + 1),
+            "parameter": np.arange(1, family.p + 1),
             "estimate": result.theta,
         },
     )
@@ -369,7 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("whittle", help="fit a parametric spectral family")
     _add_series_flags(p)
     p.add_argument("--family", required=True, help="'ar:P'")
-    p.add_argument("--init", default=None, help="comma-separated start point")
     p.add_argument("--grid", default="uniform:500", help=_MEAN_GRID_HELP)
     p.set_defaults(func=_cmd_whittle)
 

@@ -12,7 +12,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .arfit import _ar_phases
+from .arfit import _ar_phases, _causal, _levinson_rows
 from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries, _integer, _positive, _vector
 from .complete import threshold_real
 from .estimators import EstimatorSpec, evaluate_estimator
@@ -167,6 +167,14 @@ def _smooth_rows(vals: np.ndarray, window: SpectralWindow) -> np.ndarray:
     return out
 
 
+def _spectral_values(ts: TimeSeries, lags: int, estimator: EstimatorSpec, cfg: SpectralMeanConfig):
+    """(frequencies, values, cosine table): the estimate's thresholded real
+    values on the quadrature grid of `cfg`, and `_cosine_table` for lags 0..lags."""
+    grid = cfg.grid_for(ts.n)
+    vals = _prepared_values(evaluate_estimator(ts, estimator, grid), cfg).real
+    return grid.frequencies, vals, _cosine_table(grid.frequencies, lags)
+
+
 def acf_estimate(
     ts: TimeSeries,
     lags: int,
@@ -184,9 +192,8 @@ def acf_estimate(
     """
     if _integer(lags, "lag count", 0) >= ts.n:
         raise DomainError("lag range must stay below the series length")
-    grid = cfg.grid_for(ts.n)
-    pg = evaluate_estimator(ts, estimator, grid)
-    autocov = _cosine_moments(_prepared_values(pg, cfg).real, _cosine_table(grid.frequencies, lags))
+    _, vals, table = _spectral_values(ts, lags, estimator, cfg)
+    autocov = _cosine_moments(vals, table)
     if autocov[0] <= 0.0:
         raise NumericalError(
             "nonpositive variance estimate; use a thresholded estimate (set cfg.threshold)"
@@ -210,35 +217,12 @@ def smooth_periodogram(pg: PeriodogramEstimate, window: SpectralWindow) -> Perio
 
 @dataclass(frozen=True)
 class SpectralFamily:
-    """Parametric spectral density family with box constraints.
+    """The AR(p) spectral family f_theta = 1/|a_theta(w)|**2, theta causal."""
 
-    `on_grid(w)` binds the family to a frequency array and returns the
-    density on it, theta -> f_theta(w), an array shaped like `w` and
-    positive for admissible theta.  Work that depends only on the grid
-    (phase tables, say) belongs in `on_grid`, which `whittle_fit` calls once
-    per fit, not in the returned function, which it calls per evaluation.
-    `bounds` holds an inclusive (lo, hi) box per parameter, lo < hi; either
-    end may be infinite.
-    """
-
-    on_grid: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
-    bounds: tuple
-    name: str = ""
+    p: int
 
     def __post_init__(self):
-        try:
-            box = np.asarray(self.bounds, dtype=float)
-        except (TypeError, ValueError):
-            box = np.empty(0)
-        if box.ndim != 2 or box.shape[0] < 1 or box.shape[1] != 2 or not np.all(box[:, 0] < box[:, 1]):
-            raise DomainError("bounds must be a non-empty tuple of (lo, hi) pairs with lo < hi")
-
-    @property
-    def dim(self) -> int:
-        return len(self.bounds)
-
-
-_AR_LIMIT = 0.99
+        object.__setattr__(self, "p", _integer(self.p, "family order", 1))
 
 
 def ar_family(p: int) -> SpectralFamily:
@@ -246,23 +230,9 @@ def ar_family(p: int) -> SpectralFamily:
 
     The Whittle objective's minimizer over the coefficients does not depend
     on the innovation variance (the log term integrates to its logarithm),
-    so the variance is profiled out rather than fitted.  `on_grid` builds
-    the (|w|, p) phase table exp(-1j*j*w) once; each evaluation is then one
-    contraction 1 - theta . table, the same bits as the AR transfer
-    polynomial.  Every coefficient is boxed to [-0.99, 0.99].
+    so the variance is profiled out rather than fitted.
     """
-    p = _integer(p, "family order", 1)
-
-    def on_grid(w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        phases = _ar_phases(w, p)
-
-        def density(theta: np.ndarray) -> np.ndarray:
-            aw = 1.0 - np.inner(np.asarray(theta, dtype=float), phases)
-            return 1.0 / (aw.real**2 + aw.imag**2)
-
-        return density
-
-    return SpectralFamily(on_grid=on_grid, bounds=((-_AR_LIMIT, _AR_LIMIT),) * p, name=f"ar({p})")
+    return SpectralFamily(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,108 +243,11 @@ class WhittleResult:
     converged: bool
 
 
-class _BudgetSpent(Exception):
-    """A simplex step asked for an evaluation past the budget."""
-
-
-def _simplex(fun, x0, box, maxfev: int):
-    """Bounded Nelder-Mead minimization of `fun` from `x0`: (x, fun(x), converged).
-
-    Follows scipy.optimize's non-adaptive bounded Nelder-Mead step for step,
-    so it returns the same bits: the same initial simplex, vertex arithmetic,
-    clipping to the (lo, hi) pairs of `box`, `np.argsort` order and budget
-    rule (an evaluation past `maxfev` aborts the step, and the vertices are
-    still re-sorted).  The simplex is an (n+1, n) array, reduced by numpy as
-    scipy does; a new vertex is computed on Python floats, which is faster
-    for the few coordinates of a spectral family.  `fun` takes a fresh float
-    array and returns a float.  Convergence is every vertex within 1e-8 of
-    the best one and every value within 1e-12 of its value, before the
-    budget ends.
-    """
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    n = len(box)
-    calls = 0
-
-    def clip(x):  # np.clip's comparisons, NaN passing through
-        out = []
-        for v, (lo, hi) in zip(x, box):
-            if v == v:
-                v = v if v > lo else lo
-                v = v if v < hi else hi
-            out.append(v)
-        return out
-
-    def evaluate(x):
-        nonlocal calls
-        if calls >= maxfev:
-            raise _BudgetSpent
-        calls += 1
-        return fun(np.array(x))
-
-    def by_value(sim, fsim):  # scipy's np.argsort order, which need not be stable
-        order = np.array(fsim).argsort()
-        return sim.take(order, 0), [fsim[i] for i in order.tolist()]
-
-    start = clip([float(v) for v in x0])
-    sim = [start]
-    for k in range(n):
-        y = list(start)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    # a vertex pushed past an upper bound is reflected back into the box
-    sim = np.array([clip([2 * hi - v if v > hi else v for v, (_, hi) in zip(y, box)]) for y in sim])
-    fsim = [np.inf] * (n + 1)
-    try:
-        for k in range(n + 1):
-            fsim[k] = evaluate(sim[k])
-    except _BudgetSpent:
-        pass
-    sim, fsim = by_value(*by_value(sim, fsim))  # scipy sorts twice here
-
-    converged = False
-    while calls < maxfev:
-        try:
-            # scipy's test, with its two pure halves swapped: the cheap one,
-            # on values, fails first on almost every step
-            if all(abs(fsim[0] - g) <= 1e-12 for g in fsim[1:]) and (
-                np.abs(sim[1:] - sim[0]).max() <= 1e-8
-            ):
-                converged = True
-                break
-            xbar = (np.add.reduce(sim[:-1], 0) / n).tolist()
-            worst = sim[-1].tolist()
-
-            def toward(p, q):  # p*xbar + q*worst, clipped
-                return clip([p * c + q * v for c, v in zip(xbar, worst)])
-
-            xr = toward(2, -1)
-            fxr = evaluate(xr)
-            if fxr < fsim[0]:  # reflected to a new best: try expanding
-                xe = toward(3, -2)
-                fxe = evaluate(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # contract outside; keep unless worse than xr
-                    xc = toward(1.5, -0.5)
-                    fxc = evaluate(xc)
-                    keep = fxc <= fxr
-                else:  # contract inside; keep if better than the worst vertex
-                    xc = toward(0.5, 0.5)
-                    fxc = evaluate(xc)
-                    keep = fxc < fsim[-1]
-                if keep:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:  # shrink toward the best vertex
-                    best = sim[0].tolist()
-                    for j in range(1, n + 1):
-                        sim[j] = clip([b + 0.5 * (v - b) for v, b in zip(sim[j].tolist(), best)])
-                        fsim[j] = evaluate(sim[j])
-        except _BudgetSpent:
-            pass
-        sim, fsim = by_value(sim, fsim)
-    return sim[0].copy(), float(np.min(fsim)), converged
+# Newton's stopping tolerance on the step, its iteration cap, and the step
+# halvings tried per iteration.
+_STEP_TOL = 1e-10
+_NEWTON_CAP = 50
+_HALVINGS = 60
 
 
 def whittle_fit(
@@ -384,60 +257,87 @@ def whittle_fit(
     init: Sequence[float],
     cfg: SpectralMeanConfig | None = None,
 ) -> WhittleResult:
-    """Minimize the spectral-divergence objective over the family box.
+    """Minimize the spectral-divergence objective over the causal AR(p) region.
 
     K(theta) = quadrature mean of estimate/f_theta + quadrature mean of
-    log f_theta (the latter approximating (2*pi)**-1 * integral log f_theta).
-    The family is bound to the quadrature grid once per fit, through
-    `family.on_grid`; a bound density whose shape is not the grid's raises
-    DomainError, and so does a family of dimension n or more for a length-n
-    series.  The search is predspec's own bounded Nelder-Mead simplex, which
-    follows scipy.optimize's steps exactly; convergence is a simplex
-    diameter below 1e-8 within a budget of 500*dim evaluations.
-    Non-convergence flags the result instead of raising.  The simplex is the
-    non-adaptive one, which stalls in high dimension: on a centred m2 path
-    (n = 600, "regular", threshold 1e-3, start at 0) AR(3) and AR(6)
-    converge after 398 and 1714 evaluations, while AR(8) and AR(10) spend
-    the whole budget and return converged=False.
+    log f_theta (the latter approximating (2*pi)**-1 * integral log f_theta,
+    which is 0 for causal theta).  So up to that quadrature error the
+    minimizer is the Yule-Walker solution on the estimate's cosine moments
+    c(0..p), the fit's start; moments that are not positive definite raise
+    NumericalError.  Newton steps on the discretized K follow: the gradient
+    and the Hessian come from the `_ar_phases` table, the Hessian's
+    eigenvalues are floored to positive, and each step is halved until it is
+    causal (`ArModel`'s root rule) and lowers K.  A trial's change in K is
+    summed from its change in |a_theta|**2, so rounding in K does not decide
+    it.  The fit converges when a step is below 1e-10 in every coordinate;
+    it returns converged=False when no halving of a step lowers K or after
+    50 steps, which happens where the infimum lies on the causal boundary.
+    `trace` holds (theta, K) at the start and after each accepted step.
+
+    `init` is checked (p finite numbers) and has no effect: the start is
+    the Yule-Walker solution.  It stays in the signature for the callers
+    that pass it.
     """
     if cfg is None:
         cfg = SpectralMeanConfig()
-    if family.dim >= ts.n:
-        raise DomainError("the family dimension must stay below the series length")
+    p = family.p
+    if p >= ts.n:
+        raise DomainError("the family order must stay below the series length")
     try:
-        theta0 = np.asarray(init, dtype=float)
+        start = np.asarray(init, dtype=float)
     except (TypeError, ValueError):
         raise DomainError(f"init must be a sequence of numbers, got {init!r}") from None
-    if theta0.ndim != 1 or theta0.size != family.dim:
-        raise DomainError("init length must match the family dimension")
-    for val, (lo, hi) in zip(theta0, family.bounds):
-        if not lo <= val <= hi:
-            raise DomainError("init must lie inside the family's box constraints")
+    if start.shape != (p,) or not np.all(np.isfinite(start)):
+        raise DomainError("init must hold one finite number per family parameter")
 
-    grid = cfg.grid_for(ts.n)
-    pg = evaluate_estimator(ts, estimator, grid)
-    vals = _prepared_values(pg, cfg).real
-    w = grid.frequencies
-    density = family.on_grid(w)
+    w, vals, table = _spectral_values(ts, p, estimator, cfg)
+    try:
+        coeffs, _ = _levinson_rows(_cosine_moments(vals, table)[None], p)
+    except NumericalError as err:
+        raise NumericalError(f"{err}; use a thresholded estimate (set cfg.threshold)") from None
+    theta = coeffs[0, p].copy()
+    if not _causal(theta):
+        raise NumericalError("the Yule-Walker start is not causal: a root within 1e-10 of the unit circle")
+    phases = _ar_phases(w, p)
+    toeplitz = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
     trace: list = []
 
-    def objective(theta: np.ndarray) -> float:
-        f = np.asarray(density(theta), dtype=float)
-        if f.shape != w.shape:
-            raise DomainError("the family density must evaluate elementwise on the frequency array")
-        if 0.0 < f.min() and f.max() < np.inf:
-            # sum/size is np.mean's arithmetic without its dispatch overhead
-            value = float((vals / f).sum() / f.size + np.log(f).sum() / f.size)
-        else:
-            value = np.inf
-        trace.append((theta.copy(), value))
-        return value
+    def at(theta: np.ndarray):
+        """a_theta and |a_theta|**2 on the grid; records (theta, K(theta))."""
+        aw = 1.0 - np.inner(theta, phases)
+        g = aw.real**2 + aw.imag**2
+        f = 1.0 / g
+        trace.append((theta, float(np.mean(vals / f) + np.mean(np.log(f)))))
+        return aw, g
 
-    start = objective(theta0)
-    if not np.isfinite(start):
-        raise DomainError("objective is not finite at the initial point")
-    # the start point's evaluation above counts against the budget
-    theta, value, converged = _simplex(objective, theta0, family.bounds, 500 * family.dim - 1)
-    if not value <= start:  # a NaN objective value in the final simplex
-        theta, value = theta0, start
-    return WhittleResult(theta=theta, value=value, trace=tuple(trace), converged=converged)
+    aw, g = at(theta)
+    converged = False
+    for _ in range(_NEWTON_CAP):
+        r = (aw.conj()[:, None] * phases).real  # -dg/dtheta / 2
+        resid = vals - 1.0 / g
+        grad = -2.0 * (resid @ r) / w.size
+        rg = r / g[:, None]
+        hess = 2.0 * _cosine_moments(resid, table)[toeplitz] + 4.0 * (rg.T @ rg) / w.size
+        eig, vec = np.linalg.eigh(hess)
+        eig = np.maximum(np.abs(eig), 1e-8 * np.abs(eig).max())
+        step = vec @ ((grad @ vec) / eig)
+        if np.abs(step).max() <= _STEP_TOL:
+            converged = True
+            break
+        for t in 0.5 ** np.arange(_HALVINGS):
+            trial = theta - t * step
+            if not _causal(trial):
+                continue
+            # K(trial) - K(theta) summed from the change in g: near the
+            # minimum it is below the rounding of K itself
+            da = np.inner(t * step, phases)
+            dg = 2.0 * (aw.conj() * da).real + da.real**2 + da.imag**2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lower = np.mean(vals * dg) < np.mean(np.log1p(dg / g))
+            if lower:
+                theta = trial
+                aw, g = at(theta)
+                break
+        else:
+            break
+    return WhittleResult(theta=theta, value=trace[-1][1], trace=tuple(trace), converged=converged)
