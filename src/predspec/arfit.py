@@ -317,9 +317,11 @@ def _filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The rational filter b(B)/a(B) run over the last axis of x from zero state.
 
     This is `scipy.signal.lfilter`, the one ARMA filter of the simulator and
-    the expansions.  Importing `scipy.signal` costs more than the rest of
-    predspec, so it is imported here, on the first filter, and an analysis
-    that filters nothing never loads it.
+    the expansions, and the library's only scipy call: the DFT, the
+    covariance matrices and the oracle run on numpy.  Importing
+    `scipy.signal` costs more than the rest of predspec, so it is imported
+    here, on the first filter, and an analysis that filters nothing loads
+    no scipy.
     """
     import scipy.signal
 

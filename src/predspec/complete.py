@@ -247,10 +247,14 @@ def _estimate(
     here, with the series' own fit store, so its rows equal the runner's
     block rows bit for bit.  Values that overflow raise NumericalError.
     """
-    x = ts.values[None]
-    [values] = _finite(lambda: _estimate_block([(taper, source)], x, grid, ts._fits)[0][0], "periodogram overflows")
-    # the block stored a fitted source's record, so this fits nothing
-    orders = None if source is None else _source_rows(x, source, ts._fits)[1]
+    orders = None
+
+    def one_row():
+        nonlocal orders
+        [(values, orders)] = _estimate_block([(taper, source)], ts.values[None], grid, ts._fits)
+        return values[0]
+
+    values = _finite(one_row, "periodogram overflows")
     if source is None:
         kind = "regular" if taper is None else "tapered"
     elif taper is not None:

@@ -16,8 +16,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
 from .exceptions import DomainError, NumericalError
 
@@ -201,7 +199,13 @@ class CovarianceSequence:
             raise DomainError(
                 f"covariance sequence holds lags 0..{self.max_lag}, need 0..{n - 1}"
             )
-        return scipy.linalg.toeplitz(self.lags[:n])
+        return _toeplitz(self.lags, n)
+
+
+def _toeplitz(c: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric n-by-n matrix [c(|i - j|)] from the first n entries of c."""
+    k = np.arange(n)
+    return c[np.abs(k[:, None] - k)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,8 +342,9 @@ def _phase_sums(x: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     pi/M respectively), which ``FrequencyGrid`` enforces exactly.  There
     exp(1j*t*w_k) = exp(1j*t*w_0) * exp(2j*pi*k*t/M) depends on t only
     through t mod M, so the phased data are folded modulo M and summed by
-    one unnormalized inverse FFT of length M, for any M versus n.  Explicit
-    grids have no such structure and take the direct O(n * |grid|) sum.
+    one unnormalized inverse FFT of length M (`np.fft.ifft`), for any M
+    versus n.  Explicit grids have no such structure and take the direct
+    O(n * |grid|) sum.
     """
     rows, n = x.shape
     if grid.kind == "explicit":
@@ -350,7 +355,7 @@ def _phase_sums(x: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     folded = buf[:, :M]
     for start in range(M, buf.shape[1], M):  # fold t mod M into the first M slots
         folded += buf[:, start : start + M]
-    return scipy.fft.ifft(folded, norm="forward", overwrite_x=True)
+    return np.fft.ifft(folded, norm="forward")
 
 
 def _dft_rows(x: np.ndarray, grid: FrequencyGrid, taper: Taper | None = None) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .arfit import _ar_phases, _causal, _levinson_rows
-from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries, _integer, _positive, _vector
+from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries, _integer, _positive, _toeplitz, _vector
 from .complete import threshold_real
 from .estimators import EstimatorSpec, evaluate_estimator
 from .exceptions import DomainError, NumericalError
@@ -299,7 +299,6 @@ def whittle_fit(
     if not _causal(theta):
         raise NumericalError("the Yule-Walker start is not causal: a root within 1e-10 of the unit circle")
     phases = _ar_phases(w, p)
-    toeplitz = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
     trace: list = []
 
     def at(theta: np.ndarray):
@@ -317,7 +316,7 @@ def whittle_fit(
         resid = vals - 1.0 / g
         grad = -2.0 * (resid @ r) / w.size
         rg = r / g[:, None]
-        hess = 2.0 * _cosine_moments(resid, table)[toeplitz] + 4.0 * (rg.T @ rg) / w.size
+        hess = 2.0 * _toeplitz(_cosine_moments(resid, table), p) + 4.0 * (rg.T @ rg) / w.size
         eig, vec = np.linalg.eigh(hess)
         eig = np.maximum(np.abs(eig), 1e-8 * np.abs(eig).max())
         step = vec @ ((grad @ vec) / eig)

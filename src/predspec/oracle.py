@@ -10,7 +10,6 @@ against these.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .core import CovarianceSequence, FrequencyGrid, TimeSeries, _array, _integer
 from .exceptions import DomainError, NumericalError
@@ -24,11 +23,20 @@ __all__ = [
 
 
 def _toeplitz_cholesky(cov: CovarianceSequence, n: int):
+    """The covariance matrix R_n and its lower Cholesky factor L (R_n = L L').
+
+    Raises NumericalError unless R_n is positive definite.
+    """
     r = cov.toeplitz(n)
     try:
-        return scipy.linalg.cho_factor(r, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        return r, np.linalg.cholesky(r)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError("covariance matrix is not positive definite") from exc
+
+
+def _cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """R^-1 rhs from R's lower Cholesky factor: two triangular systems."""
+    return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
 
 
 def finite_predictor_coeffs(cov: CovarianceSequence, n: int, tau: int) -> np.ndarray:
@@ -47,9 +55,9 @@ def finite_predictor_coeffs(cov: CovarianceSequence, n: int, tau: int) -> np.nda
         raise DomainError(
             f"covariance sequence holds lags 0..{cov.max_lag}, need 0..{needed}"
         )
-    factor = _toeplitz_cholesky(cov, n)
+    _, factor = _toeplitz_cholesky(cov, n)
     rhs = cov.lags[np.abs(tau - np.arange(1, n + 1))]
-    return scipy.linalg.cho_solve(factor, rhs)
+    return _cholesky_solve(factor, rhs)
 
 
 _TAIL_TOL = 1e-8
@@ -76,7 +84,7 @@ def predictive_dft_bruteforce(
         raise DomainError(
             f"covariance sequence holds lags 0..{cov.max_lag}, need 0..{needed}"
         )
-    factor = _toeplitz_cholesky(cov, n)
+    _, factor = _toeplitz_cholesky(cov, n)
     x = ts.values
     w = grid.frequencies
     c = cov.lags
@@ -84,7 +92,7 @@ def predictive_dft_bruteforce(
     def one_sided(taus: np.ndarray) -> np.ndarray:
         # lag matrix: |tau - t| for t = 1..n, one column per tau
         lag_idx = np.abs(taus[None, :] - np.arange(1, n + 1)[:, None])
-        weights = scipy.linalg.cho_solve(factor, c[lag_idx])
+        weights = _cholesky_solve(factor, c[lag_idx])
         xhat = x @ weights
         return (xhat @ np.exp(1j * np.outer(taus, w))) / np.sqrt(n)
 
@@ -118,13 +126,7 @@ def expected_quadratic(v: np.ndarray, w: np.ndarray, cov: CovarianceSequence):
     w = _array(w, "linear form w", complex)
     if v.size != w.size:
         raise DomainError("linear-form vectors must be of equal length")
-    n = v.size
-    if cov.max_lag < n - 1:
-        raise DomainError(
-            f"covariance sequence holds lags 0..{cov.max_lag}, need 0..{n - 1}"
-        )
-    _toeplitz_cholesky(cov, n)  # positive-definiteness gate
-    r = cov.toeplitz(n)
+    r, _ = _toeplitz_cholesky(cov, v.size)  # positive-definiteness gate
     rv = r @ v
     rw = r @ w
     mean = complex(np.conj(w) @ rv)

@@ -399,20 +399,27 @@ def test_other_number_spellings_rejected(kind, token):
 
 _IMPORT_PROBE = """
 import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
 import predspec
-assert "scipy.signal" not in sys.modules, "import predspec"
+assert not scipy_modules(), ("import predspec", scipy_modules())
 assert "predspec.cli" not in sys.modules and "predspec.verify" not in sys.modules
 from predspec.cli import main
-for kind in ("regular", "complete"):
-    assert main(["periodogram", sys.argv[1], "--kind", kind]) == 0
-    assert "scipy.signal" not in sys.modules, kind
+for args in (["periodogram", "--kind", "regular"], ["periodogram", "--kind", "complete"],
+             ["smooth", "--window", "bartlett", "--m", "2"], ["acf", "--lags", "5"],
+             ["whittle", "--family", "ar:2"]):
+    assert main([args[0], sys.argv[1], *args[1:]]) == 0, args
+    assert not scipy_modules(), (args, scipy_modules())
 """
 
 
 def test_analysis_does_not_import_scipy_signal(tmp_path):
-    # scipy.signal costs more to import than the rest of predspec; only the
-    # ARMA filter (simulation and expansions) loads it.  `import predspec`
-    # also leaves the CLI and the verify suites unloaded.
+    # scipy is the ARMA filter's alone (simulation and expansions), and
+    # scipy.signal costs more to import than the rest of predspec: neither
+    # `import predspec` nor an analysis of a series loads any scipy module.
+    # `import predspec` also leaves the CLI and the verify suites unloaded.
     src = tmp_path / "x.csv"
     _write_series(src, np.random.default_rng(3).standard_normal(64))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(src)],

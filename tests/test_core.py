@@ -184,6 +184,40 @@ def test_dft_fft_path_matches_direct_sum(case):
     np.testing.assert_allclose(fast, direct, rtol=0.0, atol=1e-10 * float(np.max(np.abs(direct))))
 
 
+_PHASE_NS = (1, 7, 20, 50, 300, 997, 1024, 1399)
+_PHASE_CASES = {
+    **{f"fourier-n{n}": (n, FrequencyGrid.fourier(n)) for n in _PHASE_NS},
+    **{f"uniform500-n{n}": (n, FrequencyGrid.uniform(500)) for n in _PHASE_NS},
+    "uniform7-n300": (300, FrequencyGrid.uniform(7)),
+}
+
+
+@pytest.mark.parametrize("n, grid", list(_PHASE_CASES.values()), ids=list(_PHASE_CASES))
+def test_phase_sums_equal_scipy_fft_bit_for_bit(n, grid):
+    """`_phase_sums` (np.fft) against scipy.fft on the same folded buffer.
+
+    From numpy 2.0 both run the C++ pocketfft, and they agreed bit for bit
+    at numpy 2.4.6 and scipy 1.17.1, where the table digest was pinned.  If
+    an upgrade moves the digest, this test says whether the FFT moved.  The
+    buffer is folded here by chunks of M slots; Fourier grids fold slot n
+    onto slot 0, and the 7-cell grid sums 43 chunks of a 300-point series."""
+    import scipy.fft
+
+    from predspec.core import _phase_sums
+
+    M, w0 = grid.size, grid.frequencies[0]
+    for rows in (1, 32):
+        x = np.random.default_rng(n + rows).standard_normal((rows, n))
+        phased = x * np.exp(1j * w0 * np.arange(1, n + 1)) if w0 else x
+        chunks = np.zeros((rows, -(-(n + 1) // M), M), dtype=complex)
+        chunks.reshape(rows, -1)[:, 1 : n + 1] = phased
+        folded = chunks[:, 0].copy()
+        for k in range(1, chunks.shape[1]):
+            folded += chunks[:, k]
+        want = scipy.fft.ifft(folded, norm="forward")
+        assert _phase_sums(x, grid).tobytes() == want.tobytes(), rows
+
+
 def test_tukey_taper_frozen_shape():
     """n=10, d=2: rise values and raw moments evaluated by hand."""
     t = tukey_taper(10, 2)

@@ -187,3 +187,39 @@ def test_fejer_leakage_shrinks_with_n():
 def test_fejer_quadrature_floor():
     with pytest.raises(DomainError):
         fejer_expected_periodogram(lambda w: np.ones_like(w), 8, 0.5, quadrature_points=64)
+
+
+# One listed case for each guard of this module (and the covariance matrix
+# it factors) that no other test reaches.
+_SHORT_COV = CovarianceSequence([1.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: finite_predictor_coeffs(_SHORT_COV, 4, 0), DomainError, "holds lags 0..1, need 0..4"),
+        # under AR(1) a = 0.8984375 the extension tail of this one-point
+        # series still moves by more than the 1e-8 tolerance past horizon 200
+        (
+            lambda: predictive_dft_bruteforce(
+                TimeSeries([10.0]), arma_expand(ArmaModel([0.8984375], [], 1.0), M=401).autocov,
+                FrequencyGrid.fourier(1), horizon=200,
+            ),
+            NumericalError,
+            "did not stabilize",
+        ),
+        (lambda: expected_quadratic(np.ones(3), np.ones(2), _SHORT_COV), DomainError, "equal length"),
+        (lambda: expected_quadratic(np.ones(4), np.ones(4), _SHORT_COV), DomainError, "holds lags 0..1, need 0..3"),
+        (
+            lambda: fejer_expected_periodogram(lambda w: np.where(w > 3.0, np.nan, 1.0), 8, 0.5),
+            NumericalError,
+            "non-finite",
+        ),
+        (lambda: _SHORT_COV.toeplitz(3), DomainError, "holds lags 0..1, need 0..2"),
+    ],
+    ids=["predictor-lags", "bruteforce-tail", "quadratic-lengths", "quadratic-lags", "fejer-density",
+         "toeplitz-lags"],
+)
+def test_guard_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
