@@ -133,8 +133,16 @@ def _correction_rows(x: np.ndarray, a: np.ndarray, grid: FrequencyGrid) -> np.nd
     return (back + np.exp(1j * n * w) * fwd / np.conj(aw)) / np.sqrt(n)
 
 
+def _known(source):
+    """The source, or DomainError unless it is a `ModelSource` (checked before
+    it keys a dict, so that a list, say, is not reported as unhashable)."""
+    if isinstance(source, ModelSource):
+        return source
+    raise DomainError(f"unknown model source {source!r}; a known ArModel is passed as Explicit(model)")
+
+
 def _source_rows(x: np.ndarray, source: ModelSource, fits: dict | None = None):
-    """The fit record a source gives the rows of x (rows, n): (coeffs, orders).
+    """The fit record a `_known` source gives the rows of x (rows, n): (coeffs, orders).
 
     `coeffs` is a (rows, m) block, or (1, m) for a known model or a truncated
     sequence, and `orders` the per-row AR orders (None for a truncated
@@ -151,8 +159,6 @@ def _source_rows(x: np.ndarray, source: ModelSource, fits: dict | None = None):
         return source.model.coeffs[None], np.full(rows, source.model.p)
     if isinstance(source, TruncatedInfinite):
         return source.coeffs[None], None
-    if not isinstance(source, (AutoAIC, FixedOrder)):
-        raise DomainError(f"unknown model source {source!r}; a known ArModel is passed as Explicit(model)")
     if source not in fits:
         if isinstance(source, FixedOrder):
             coeffs, _ = _yule_walker_rows(x, source.p)
@@ -188,54 +194,48 @@ def predictive_dft(ts: TimeSeries, source: ModelSource, grid: FrequencyGrid) -> 
     correction.  Values that overflow raise NumericalError.
     """
     x = ts.values[None]
-    return _finite(lambda: _correction_rows(x, _source_rows(x, source, ts._fits)[0], grid)[0],
+    return _finite(lambda: _correction_rows(x, _source_rows(x, _known(source), ts._fits)[0], grid)[0],
                    "predictive DFT overflows")
 
 
-def _estimate_block(plans, x: np.ndarray, grid: FrequencyGrid, fits: dict | None = None) -> list:
+@dataclass(frozen=True, eq=False)
+class _PassRecord:
+    """What one estimate pass returns: the (rows, |grid|) values of each plan,
+    and the per-row AR orders of each distinct source (None for a truncated
+    sequence)."""
+
+    values: list
+    orders: dict
+
+
+def _estimate_block(plans, x: np.ndarray, grid: FrequencyGrid, fits: dict | None = None) -> _PassRecord:
     """Each (taper, source) plan's estimator on every row of x (rows, n).
 
-    A plan's source is None for the raw periodograms.  One pass over the
-    block: the plain DFT once if a plan reads it (a completed plan or an
-    untapered one does), and each taper's DFT and each source's completed
-    DFT (J + predictive correction) once per object, whatever the number of
-    plans that hold it.  A fitted source's record comes from `fits` (see
-    `_source_rows`): `_estimate` passes the series' own store; by default
-    the store is new and lives for this call, as in the runner's blocks.
-    Returns one (values, orders) pair per plan: the (rows, |grid|) values,
-    real for the raw kinds and complex for the completed ones, and the
-    per-row AR orders (None for the raw kinds and a truncated sequence).  A
-    plan's rows do not depend on the other plans or rows, nor on whether
-    their fit came from the store.
+    A plan's source is None for the raw periodograms.  The pass runs in four
+    stages, each over distinct objects: distinct by the objects' own
+    equality, which is by value for `AutoAIC` and `FixedOrder` and by
+    identity for `TruncatedInfinite`, `Taper` and the model of an `Explicit`.
+    The stages are the DFT of each taper a plan reads (None is the plain
+    DFT, which every completed plan reads), each source's fit record
+    (`_source_rows`), each source's completed DFT (plain DFT +
+    `_correction_rows`), and each plan's product.  A fitted source's record comes from `fits`: `_estimate` passes
+    the series' own store; by default the store is new and lives for this
+    call, as in the runner's blocks.  The values are real for the raw kinds
+    and complex for the completed ones.  A plan's rows do not depend on the
+    other plans or rows, nor on whether their fit came from the store.
     """
     fits = {} if fits is None else fits
-    shared = {}
-
-    def once(obj, make):
-        if id(obj) not in shared:
-            shared[id(obj)] = make()
-        return shared[id(obj)]
-
-    def dft(taper):  # the plain DFT is keyed by the block itself
-        return once(x if taper is None else taper, lambda: _dft_rows(x, grid, taper))
-
-    def completed(source):
-        a, orders = _source_rows(x, source, fits)
-        return dft(None) + _correction_rows(x, a, grid), orders
-
-    out = []
-    for taper, source in plans:
-        jt = dft(taper)
-        if source is None:
-            out.append((_periodogram_rows(jt, taper), None))
-        else:
-            completed_dft, orders = once(source, lambda: completed(source))
-            # np.multiply, not `*`: numpy computes `completed_dft * <temporary>`
-            # of 256 KiB or more in place with the operands swapped, which moves
-            # the last bit of the imaginary part, so rows would depend on the
-            # block size
-            out.append((np.multiply(completed_dft, np.conj(jt)), orders))
-    return out
+    sources = dict.fromkeys(_known(source) for _, source in plans if source is not None)
+    tapers = dict.fromkeys([taper for taper, _ in plans] + ([None] if sources else []))
+    dfts = {taper: _dft_rows(x, grid, taper) for taper in tapers}
+    records = {source: _source_rows(x, source, fits) for source in sources}
+    completed = {source: dfts[None] + _correction_rows(x, a, grid) for source, (a, _) in records.items()}
+    # np.multiply, not `*`: numpy computes `completed * <temporary>` of
+    # 256 KiB or more in place with the operands swapped, which moves the
+    # last bit of the imaginary part, so rows would depend on the block size
+    values = [_periodogram_rows(dfts[taper], taper) if source is None
+              else np.multiply(completed[source], np.conj(dfts[taper])) for taper, source in plans]
+    return _PassRecord(values, {source: orders for source, (_, orders) in records.items()})
 
 
 def _estimate(
@@ -245,16 +245,13 @@ def _estimate(
 
     Every single-series periodogram, raw (no source) or completed, is built
     here, with the series' own fit store, so its rows equal the runner's
-    block rows bit for bit.  Values that overflow raise NumericalError.
+    block rows bit for bit; `PgMeta.order` is the pass record's order of the
+    source.  Values that overflow raise NumericalError.
     """
-    orders = None
-
-    def one_row():
-        nonlocal orders
-        [(values, orders)] = _estimate_block([(taper, source)], ts.values[None], grid, ts._fits)
-        return values[0]
-
-    values = _finite(one_row, "periodogram overflows")
+    with np.errstate(over="ignore", invalid="ignore"):  # `_finite` raises below
+        record = _estimate_block([(taper, source)], ts.values[None], grid, ts._fits)
+    values = _finite(lambda: record.values[0][0], "periodogram overflows")
+    orders = record.orders.get(source)
     if source is None:
         kind = "regular" if taper is None else "tapered"
     elif taper is not None:

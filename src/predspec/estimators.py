@@ -82,18 +82,17 @@ class EstimatorSpec:
 def _plans(specs, n: int, truth: Explicit | None = None) -> list:
     """The (taper, source) plan of each spec at length n; the source is None for the raw kinds.
 
-    A "complete-true" spec without a source of its own takes `truth`.  Specs
-    with the same rise length get one Taper object and the fitted kinds
-    without a source one AutoAIC, so the block pass, which shares work
-    between plans holding the same object, takes each tapered DFT and each
-    fit once.
+    A "complete-true" spec without a source of its own takes `truth`, and a
+    fitted kind without one `AutoAIC()`.  Specs with the same rise length get
+    one Taper object: tapers compare by identity, and the block pass takes
+    one DFT per distinct taper.
     """
-    tapers, fitted, plans = {}, AutoAIC(), []
+    tapers, plans = {}, []
     for spec in specs:
         d = spec.taper_d if spec.taper_d is not None else default_rise(n)
         if spec.tapered and d not in tapers:
             tapers[d] = tukey_taper(n, d)
-        source = spec.source or (truth if spec.kind == "complete-true" else fitted)
+        source = spec.source or (truth if spec.kind == "complete-true" else AutoAIC())
         if source is None:
             raise DomainError("complete-true estimator needs the generating AR model as source=Explicit(model)")
         plans.append((tapers[d] if spec.tapered else None, source if spec.completed else None))

@@ -304,7 +304,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> MetricTable:
         seeds = (split_seed(spec.seed, b) for b in range(b0, b1))  # derived within the simulate stage
         x = timed("simulate", lambda: _simulate_rows(spec.model, spec.n, seeds))
         block = timed("estimate", lambda: _estimate_block(prep.plans, x, prep.grid))
-        for slot, est, (values, _) in zip(slots, spec.estimators, block):
+        for slot, est, values in zip(slots, spec.estimators, block.values):
             slot[b0:b1] = timed("reduce", lambda: prep.reduce(est, values))
     rows = timed("summarize", lambda: _summarize(spec, prep, slots))
     runtime = time.perf_counter() - start

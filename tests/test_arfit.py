@@ -14,6 +14,7 @@ from predspec import (
     DomainError,
     FrequencyGrid,
     NumericalError,
+    OrderSelection,
     TimeSeries,
     aic_select,
     arma_expand,
@@ -100,6 +101,24 @@ def test_levinson_monotone_prediction_error():
 def test_levinson_rejects_non_pd():
     with pytest.raises(NumericalError):
         levinson_durbin(CovarianceSequence([1.0, 1.0]), 1)
+    with pytest.raises(NumericalError, match=r"c\(0\) <= 0"):
+        levinson_durbin(CovarianceSequence([0.0, 0.0]), 1)  # the zero sequence is valid but singular
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: ArmaModel([], [2.0], 1.0), "MA polynomial root strictly inside"),
+        (lambda: levinson_durbin(CovarianceSequence([1.0, 0.5]), 2), r"need lags 0..2, covariance holds 0..1"),
+        (lambda: yule_walker_fit(TimeSeries([1.0, -2.0, 0.5]), 3), r"0 <= p < n"),
+        (lambda: OrderSelection(0, 2, np.ones(2), ArModel([], 1.0)), r"selected order must lie in 1..k_n"),
+        (lambda: OrderSelection(1, 2, np.ones(3), ArModel([0.5], 1.0)), "one criterion value per candidate"),
+    ],
+    ids=["ma-root-inside", "levinson-lags", "yule-walker-order", "selection-order", "selection-values"],
+)
+def test_guard_raises(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
 
 
 def test_yule_walker_order_zero():

@@ -94,6 +94,7 @@ def test_input_error_exit_code(tmp_path, capsys):
     for argv in (
         ["periodogram", str(good), "--kind", "complete", "--order", "foo"],
         ["periodogram", str(good), "--grid", "uniform:abc"],
+        ["periodogram", str(good), "--grid", "bogus"],
         ["simulate", "--model", "m1:abc", "--n", "5", "--seed", "1"],
         ["whittle", str(good), "--family", "ar:two"],
         # one spelling of the family name: no case or space folding
@@ -269,10 +270,13 @@ def test_experiment_config_errors(tmp_path, capsys):
     assert main(["experiment", str(bad)]) == 2
     bad.write_text("model = m3\nn = 16\nB = 10\nseed = 1\nestimators = regular\n")
     assert main(["experiment", str(bad)]) == 2
+    bad.write_text("model = m1\nlambda = 0.9\nn = 16\nB = 10\nseed = 1\n")
+    assert main(["experiment", str(bad)]) == 2  # no estimators
+    assert "need at least one estimator" in capsys.readouterr().err
     base = "model = m1\nn = 16\nB = 10\nseed = 1\nestimators = regular, tapered-complete\n"
     for extra in ("lambda = abc", "order = foo", "taper_d = 2.5", "threshold = abc",
                   "window = bartlett\nm = x", "window = daniell\nm = 8",
-                  "acf_lags = many", "acf_lags = 3\nacf_points = 1e3"):
+                  "acf_lags = many", "acf_lags = 3\nacf_points = 1e3", "acf_lags = 16", "no equals sign"):
         lam = "" if extra.startswith("lambda") else "lambda = 0.9\n"
         bad.write_text(base + lam + extra + "\n")
         assert main(["experiment", str(bad)]) == 2, extra

@@ -73,6 +73,9 @@ def test_predictive_dft_takes_a_model_source():
         predictive_dft(ts, ArModel([0.5], 1.0), FrequencyGrid.fourier(4))
     with pytest.raises(DomainError, match="unknown model source None"):
         predictive_dft(ts, None, FrequencyGrid.fourier(4))
+    # an unhashable source is reported as unknown, not as unhashable by the block pass's keys
+    with pytest.raises(DomainError, match=r"unknown model source \[0.5\]"):
+        complete_periodogram(ts, [0.5], FrequencyGrid.fourier(4))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -90,6 +90,8 @@ def test_lattice_grid_validation():
         FrequencyGrid(FrequencyGrid.fourier(6).frequencies[:5], kind="fourier")  # spacing of 6
     with pytest.raises(DomainError):
         FrequencyGrid(np.nextafter(FrequencyGrid.fourier(6).frequencies, 7.0), kind="fourier")
+    with pytest.raises(DomainError, match="unknown grid kind 'bogus'"):
+        FrequencyGrid(FrequencyGrid.fourier(6).frequencies, kind="bogus")
     for bad in (0, -3):
         with pytest.raises(DomainError):
             FrequencyGrid.fourier(bad)
@@ -238,6 +240,12 @@ def test_tukey_taper_symmetry_and_bounds():
         tukey_taper(10, 0)
     with pytest.raises(DomainError):
         tukey_taper(10, 6)  # 2d > n
+    with pytest.raises(DomainError, match="must be nonnegative"):
+        Taper(np.array([-1.0, 3.0]), h1=1.0, h2=1.0)
+    with pytest.raises(DomainError, match="must sum to n"):
+        Taper(np.full(4, 2.0), h1=1.0, h2=1.0)
+    with pytest.raises(DomainError, match="taper length does not match"):
+        dft(TimeSeries(np.ones(10)), FrequencyGrid.fourier(10), tukey_taper(12, 2))
 
 
 def test_all_ones_taper_is_identity_for_dft():
@@ -289,6 +297,12 @@ def test_periodogram_estimate_kind_validation():
         PeriodogramEstimate(g, np.array([-0.1, 1.0, 1.0], dtype=complex), "regular", PgMeta())
     with pytest.raises(DomainError):
         PeriodogramEstimate(g, np.array([1.0, 1.0], dtype=complex), "regular", PgMeta())
+    with pytest.raises(DomainError, match="unknown periodogram kind 'bogus'"):
+        PeriodogramEstimate(g, np.ones(3, dtype=complex), "bogus", PgMeta())
+    with pytest.raises(DomainError, match="must record its threshold"):
+        PeriodogramEstimate(g, np.ones(3, dtype=complex), "thresholded-real", PgMeta())
+    with pytest.raises(DomainError, match="must be real and >= threshold"):
+        PeriodogramEstimate(g, np.array([1.0, 0.5, 1.0], dtype=complex), "thresholded-real", PgMeta(threshold=0.6))
     # complete estimates may be complex
     PeriodogramEstimate(g, np.array([1.0 + 0.3j, 1.0, 1.0]), "complete", PgMeta(order=2))
 

@@ -22,6 +22,7 @@ from predspec import (
     builtin_models,
     evaluate_estimator,
 )
+from predspec import complete
 from predspec.arfit import _aic_rows
 from predspec.complete import _estimate_block
 from predspec.estimators import _plans
@@ -52,10 +53,13 @@ def _ar_block(draw, kmax):
 
 def _assert_block_matches_single(specs, x, grid):
     """Each spec's rows of one shared block pass equal `evaluate_estimator`
-    on each series bit for bit, and its orders are each estimate's order."""
-    block = _estimate_block(_plans(specs, x.shape[-1]), x, grid)
-    assert len(block) == len(specs)
-    for spec, (values, orders) in zip(specs, block):
+    on each series bit for bit, and its source's orders are each estimate's
+    order."""
+    plans = _plans(specs, x.shape[-1])
+    record = _estimate_block(plans, x, grid)
+    assert len(record.values) == len(specs)
+    for spec, (_, source), values in zip(specs, plans, record.values):
+        orders = record.orders.get(source)
         assert values.shape == (x.shape[0], grid.size)
         if orders is not None:
             assert orders.shape == (x.shape[0],)
@@ -105,8 +109,8 @@ def test_acf_block_rows_match_acf_estimate():
     prep = _Prep(spec)
     x = _simulate_rows(model, spec.n, range(32))
     for rows in (1, 32):
-        block = _estimate_block(prep.plans, x[:rows], prep.grid)
-        for est, (values, _) in zip(specs, block):
+        record = _estimate_block(prep.plans, x[:rows], prep.grid)
+        for est, values in zip(specs, record.values):
             got = prep.reduce(est, values)
             single = EstimatorSpec(est.kind, source=truth) if est.kind == "complete-true" else est
             cfg = SpectralMeanConfig(RiemannIntegral(spec.acf_points), spec.threshold if est.completed else None)
@@ -145,6 +149,25 @@ def test_shared_block_pass_matches_single_series(data):
     different tapers or sources."""
     a, x, grid = data.draw(_ar_block(kmax=0.95))
     _assert_block_matches_single(data.draw(_spec_lists(a)), x[:12], grid)
+
+
+def test_equal_sources_built_apart_share_one_correction(monkeypatch):
+    """The block pass keys sources by their own equality: two `AutoAIC()` and
+    two `FixedOrder(2)` built apart take one correction each, and every
+    plan's rows still equal the single-series ones."""
+    calls, correction_rows = [], complete._correction_rows
+
+    def counted(x, a, grid):
+        calls.append(x.shape[0])
+        return correction_rows(x, a, grid)
+
+    monkeypatch.setattr(complete, "_correction_rows", counted)
+    x = _simulate_rows(ArmaModel([0.5, -0.3], [], 1.0), 30, range(5))
+    specs = [EstimatorSpec("complete", source=AutoAIC()), EstimatorSpec("tapered-complete", source=AutoAIC()),
+             EstimatorSpec("complete", source=FixedOrder(2)),
+             EstimatorSpec("tapered-complete", source=FixedOrder(2), taper_d=2)]
+    _assert_block_matches_single(specs, x, FrequencyGrid.fourier(30))
+    assert calls.count(5) == 2  # the block's calls; each single series adds its own of one row
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
