@@ -24,11 +24,8 @@ from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries
 from .estimators import ESTIMATOR_KINDS, EstimatorSpec, evaluate_estimator
 from .exceptions import DomainError, NumericalError
 from .integrated import (
-    FourierSum,
-    RiemannIntegral,
     SpectralMeanConfig,
     acf_estimate,
-    ar_family,
     smooth_periodogram,
     spectral_window,
     whittle_fit,
@@ -122,12 +119,18 @@ def _parse_threshold(value: str):
     return None if value.lower() == "none" else _number(float, value, "--threshold")
 
 
-def _parse_grid(value: str, n: int) -> FrequencyGrid:
+def _grid_points(value: str) -> int | None:
+    """The cell count N of `--grid uniform:N`, or None for `--grid fourier`."""
     if value == "fourier":
-        return FrequencyGrid.fourier(n)
+        return None
     if value.startswith("uniform:"):
-        return FrequencyGrid.uniform(_number(int, value.split(":", 1)[1], "the uniform grid size"))
+        return _number(int, value.split(":", 1)[1], "the uniform grid size")
     raise DomainError(f"grid must be 'fourier' or 'uniform:N', got {value!r}")
+
+
+def _parse_grid(value: str, n: int) -> FrequencyGrid:
+    points = _grid_points(value)
+    return FrequencyGrid.fourier(n) if points is None else FrequencyGrid.uniform(points)
 
 
 def _order_source(token: str, what: str):
@@ -169,12 +172,10 @@ def _estimate(args, ts: TimeSeries, grid: FrequencyGrid) -> PeriodogramEstimate:
     return pg if delta is None else threshold_real(pg, delta)
 
 
-def _mean_config(args, ts: TimeSeries) -> SpectralMeanConfig:
+def _mean_config(args) -> SpectralMeanConfig:
     """The spectral mean over `--grid`: the Fourier sum, or the midpoint rule
     over the uniform grid's cells; floored by `--threshold` if set."""
-    grid = _parse_grid(args.grid, ts.n)
-    mode = FourierSum() if grid.kind == "fourier" else RiemannIntegral(grid.size)
-    return SpectralMeanConfig(mode=mode, threshold=_parse_threshold(args.threshold))
+    return SpectralMeanConfig(_grid_points(args.grid), _parse_threshold(args.threshold))
 
 
 # ---------------------------------------------------------------- subcommands
@@ -210,7 +211,7 @@ def _cmd_smooth(args, argv) -> int:
 def _cmd_acf(args, argv) -> int:
     ts = _load_input(args)
     lags = _number(int, args.lags, "--lags")
-    autocov, acf = acf_estimate(ts, lags, _estimator_from_flags(args), _mean_config(args, ts))
+    autocov, acf = acf_estimate(ts, lags, _estimator_from_flags(args), _mean_config(args))
     _write_columns(
         args.out,
         _comment(argv),
@@ -224,13 +225,13 @@ def _cmd_whittle(args, argv) -> int:
     name, _, param = args.family.partition(":")
     if name != "ar" or not param:
         raise DomainError("family must be 'ar:P' for an AR(P) spectral family")
-    family = ar_family(_number(int, param, "the family order"))
-    result = whittle_fit(ts, family, _estimator_from_flags(args), [0.0] * family.p, _mean_config(args, ts))
+    p = _number(int, param, "the family order")
+    result = whittle_fit(ts, p, _estimator_from_flags(args), [0.0] * p, _mean_config(args))
     _write_columns(
         args.out,
         _comment(argv),
         {
-            "parameter": np.arange(1, family.p + 1),
+            "parameter": np.arange(1, p + 1),
             "estimate": result.theta,
         },
     )

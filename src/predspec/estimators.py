@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .complete import AutoAIC, Explicit, ModelSource, _estimate
+from .complete import AutoAIC, Explicit, ModelSource, _estimate, _known
 from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries, tukey_taper
 from .exceptions import DomainError
 
@@ -60,6 +60,7 @@ class EstimatorSpec:
         if self.source is not None:
             if model is None:
                 raise DomainError(f"the {self.kind} estimator takes no AR model source")
+            _known(self.source)
             if model == "known" and not isinstance(self.source, Explicit):
                 raise DomainError(f"the {self.kind} estimator needs its model as source=Explicit(model)")
 
@@ -92,7 +93,8 @@ def _plans(specs, n: int, truth: Explicit | None = None) -> list:
         d = spec.taper_d if spec.taper_d is not None else default_rise(n)
         if spec.tapered and d not in tapers:
             tapers[d] = tukey_taper(n, d)
-        source = spec.source or (truth if spec.kind == "complete-true" else AutoAIC())
+        default = truth if spec.kind == "complete-true" else AutoAIC()
+        source = default if spec.source is None else spec.source
         if source is None:
             raise DomainError("complete-true estimator needs the generating AR model as source=Explicit(model)")
         plans.append((tapers[d] if spec.tapered else None, source if spec.completed else None))

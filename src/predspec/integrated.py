@@ -2,13 +2,14 @@
 smoothing, and Whittle-type fitting.
 
 A spectral mean is (2*pi)**-1 * integral of g(w) * f(w) dw with f replaced
-by a periodogram-type estimate; two quadratures are supported, a midpoint
-Riemann rule over uniform cells and the plain average over the Fourier grid.
+by a periodogram-type estimate.  `SpectralMeanConfig.points` names the
+quadrature: a cell count is the midpoint rule over that many uniform cells,
+and None is the plain average over the series' Fourier grid.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,13 +22,10 @@ from .exceptions import DomainError, NumericalError
 __all__ = [
     "SpectralWindow",
     "spectral_window",
-    "RiemannIntegral",
-    "FourierSum",
     "SpectralMeanConfig",
     "spectral_mean",
     "acf_estimate",
     "smooth_periodogram",
-    "SpectralFamily",
     "ar_family",
     "WhittleResult",
     "whittle_fit",
@@ -71,36 +69,26 @@ def spectral_window(kind: str, m: int) -> SpectralWindow:
 
 
 @dataclass(frozen=True)
-class RiemannIntegral:
-    """Midpoint rule over `points` uniform cells of [0, 2*pi]."""
-
-    points: int = 500
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _integer(self.points, "Riemann cell count", 8))
-
-
-@dataclass(frozen=True)
-class FourierSum:
-    """Average over the Fourier grid 2*pi*k/n, k = 1..n."""
-
-
-@dataclass(frozen=True)
 class SpectralMeanConfig:
-    mode: Union[RiemannIntegral, FourierSum] = field(default_factory=RiemannIntegral)
+    """The quadrature of a spectral mean and an optional threshold.
+
+    `points` is the number of midpoint cells of [0, 2*pi] (at least 8), or
+    None for the average over the series' Fourier grid 2*pi*k/n.  The
+    threshold, when set, floors the estimate's real part first.
+    """
+
+    points: int | None = 500
     threshold: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.mode, (RiemannIntegral, FourierSum)):
-            raise DomainError(f"unknown quadrature mode {self.mode!r}")
+        if self.points is not None:
+            object.__setattr__(self, "points", _integer(self.points, "Riemann cell count", 8))
         if self.threshold is not None:
             object.__setattr__(self, "threshold", _positive(self.threshold, "threshold"))
 
     def grid_for(self, n: int) -> FrequencyGrid:
         """The evaluation grid this quadrature expects for a length-n series."""
-        if isinstance(self.mode, RiemannIntegral):
-            return FrequencyGrid.uniform(self.mode.points)
-        return FrequencyGrid.fourier(n)
+        return FrequencyGrid.fourier(n) if self.points is None else FrequencyGrid.uniform(self.points)
 
 
 def _prepared_values(pg: PeriodogramEstimate, cfg: SpectralMeanConfig) -> np.ndarray:
@@ -116,20 +104,17 @@ def spectral_mean(
 ) -> complex:
     """(2*pi)**-1 * integral g * estimate, by the configured quadrature.
 
-    Riemann mode requires the estimate on the matching uniform midpoint grid;
-    Fourier mode requires the Fourier grid, where the rule reduces to the
-    plain average of g times the estimate.  `g` must accept a frequency
-    array.  The optional threshold floors the real part first.
+    The estimate must lie on the quadrature's grid: the uniform midpoint
+    grid of `cfg.points` cells, or the Fourier grid when `points` is None.
+    Either rule is the plain average of g times the estimate.  `g` must
+    accept a frequency array.  The optional threshold floors the real part
+    first.
     """
     vals = _prepared_values(pg, cfg)
     w = pg.grid.frequencies
-    if isinstance(cfg.mode, RiemannIntegral):
-        if pg.grid.kind != "uniform" or pg.grid.size != cfg.mode.points:
-            raise DomainError(
-                "Riemann quadrature needs the estimate on its uniform midpoint grid"
-            )
-    elif pg.grid.kind != "fourier":
-        raise DomainError("Fourier-sum quadrature needs the estimate on the Fourier grid")
+    want = ("fourier", w.size) if cfg.points is None else ("uniform", cfg.points)
+    if (pg.grid.kind, w.size) != want:
+        raise DomainError("the estimate is not on the quadrature grid of cfg")
     gw = np.asarray(g(w))
     if gw.shape != w.shape:
         raise DomainError("g must evaluate elementwise on the frequency array")
@@ -215,24 +200,15 @@ def smooth_periodogram(pg: PeriodogramEstimate, window: SpectralWindow) -> Perio
     return PeriodogramEstimate(pg.grid, out.astype(complex), kind=pg.kind, meta=meta)
 
 
-@dataclass(frozen=True)
-class SpectralFamily:
-    """The AR(p) spectral family f_theta = 1/|a_theta(w)|**2, theta causal."""
+def ar_family(p: int) -> int:
+    """The order p of the AR(p) family f = 1/|a_theta(w)|**2, checked (p >= 1).
 
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", _integer(self.p, "family order", 1))
-
-
-def ar_family(p: int) -> SpectralFamily:
-    """AR(p) family with unit innovation variance: f = 1/|a_theta(w)|**2.
-
-    The Whittle objective's minimizer over the coefficients does not depend
-    on the innovation variance (the log term integrates to its logarithm),
-    so the variance is profiled out rather than fitted.
+    The family has unit innovation variance: the Whittle objective's
+    minimizer over the coefficients does not depend on the variance (the log
+    term integrates to its logarithm), so the variance is profiled out
+    rather than fitted.
     """
-    return SpectralFamily(p)
+    return _integer(p, "family order", 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,16 +228,18 @@ _HALVINGS = 60
 
 def whittle_fit(
     ts: TimeSeries,
-    family: SpectralFamily,
+    p: int,
     estimator: EstimatorSpec,
     init: Sequence[float],
     cfg: SpectralMeanConfig | None = None,
 ) -> WhittleResult:
     """Minimize the spectral-divergence objective over the causal AR(p) region.
 
+    p is the AR order, at least 1 and below the series length.
     K(theta) = quadrature mean of estimate/f_theta + quadrature mean of
     log f_theta (the latter approximating (2*pi)**-1 * integral log f_theta,
-    which is 0 for causal theta).  So up to that quadrature error the
+    which is 0 for causal theta), the quadrature of `cfg` (default: 500
+    midpoint cells, no threshold).  So up to that quadrature error the
     minimizer is the Yule-Walker solution on the estimate's cosine moments
     c(0..p), the fit's start; moments that are not positive definite raise
     NumericalError.  Newton steps on the discretized K follow: the gradient
@@ -280,7 +258,7 @@ def whittle_fit(
     """
     if cfg is None:
         cfg = SpectralMeanConfig()
-    p = family.p
+    p = ar_family(p)
     if p >= ts.n:
         raise DomainError("the family order must stay below the series length")
     try:

@@ -21,7 +21,7 @@ from .core import FrequencyGrid, TimeSeries, _integer, _positive
 from .estimators import EstimatorSpec, _plans
 from .exceptions import DomainError
 from .integrated import (
-    RiemannIntegral,
+    SpectralMeanConfig,
     _check_window_fits,
     _cosine_moments,
     _cosine_table,
@@ -137,7 +137,9 @@ class ExperimentSpec:
         for name, least in (("n", 4), ("replications", 1), ("seed", 0), ("acf_lags", 1)):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _integer(getattr(self, name), name, least))
-        object.__setattr__(self, "acf_points", RiemannIntegral(self.acf_points).points)
+        # a midpoint cell count; None, which names the Fourier sum, is not one
+        points = SpectralMeanConfig(self.acf_points).points
+        object.__setattr__(self, "acf_points", _integer(points, "Riemann cell count"))
         object.__setattr__(self, "threshold", _positive(self.threshold, "threshold"))
         if not self.estimators:
             raise DomainError("need at least one estimator")

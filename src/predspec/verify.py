@@ -13,7 +13,7 @@ import numpy as np
 
 from .arfit import ArmaModel, arma_expand
 from .complete import predictive_dft_matrix
-from .core import FrequencyGrid, TimeSeries, tukey_taper
+from .core import FrequencyGrid, TimeSeries, _dft_rows, tukey_taper
 from .estimators import default_rise
 from .exceptions import DomainError
 from .oracle import (
@@ -46,11 +46,6 @@ class CheckResult:
         return self.error < self.tol
 
 
-def _dft_vector(n: int, w: float, weights: np.ndarray | None = None) -> np.ndarray:
-    e = np.exp(1j * np.arange(1, n + 1) * w) / np.sqrt(n)
-    return e if weights is None else e * weights
-
-
 def unbiasedness_report() -> list:
     """Exact-expectation checks for completed periodograms under AR(2) truth.
 
@@ -66,19 +61,19 @@ def unbiasedness_report() -> list:
             expansion = arma_expand(model, M=n + 8)
             cov = expansion.autocov
             grid = FrequencyGrid.fourier(n)
-            freqs = grid.frequencies
-            f = model.density(freqs)
+            f = model.density(grid.frequencies)
+            # the linear forms of the plain, tapered and predictive DFTs:
+            # column i weights the observations at frequency i
+            E = _dft_rows(np.eye(n), grid)
+            H = _dft_rows(np.eye(n), grid, tukey_taper(n, default_rise(n)))
             D = predictive_dft_matrix(model.pure_ar(), n, grid)
-            taper = tukey_taper(n, default_rise(n))
             err_plain = 0.0
             err_tapered = 0.0
-            for i, w in enumerate(freqs):
-                e = _dft_vector(n, w)
-                v = e + D[:, i]
-                mean, _ = expected_quadratic(v, e, cov)
+            for i in range(n):
+                v = E[:, i] + D[:, i]
+                mean, _ = expected_quadratic(v, E[:, i], cov)
                 err_plain = max(err_plain, abs(mean - f[i]) / f[i])
-                ht = _dft_vector(n, w, taper.weights)
-                mean_t, _ = expected_quadratic(v, ht, cov)
+                mean_t, _ = expected_quadratic(v, H[:, i], cov)
                 err_tapered = max(err_tapered, abs(mean_t - f[i]) / f[i])
             results.append(
                 CheckResult(f"unbiasedness plain lam={lam} n={n}", err_plain, _TOL_UNBIASED)
@@ -106,13 +101,12 @@ def oracle_report() -> list:
         expansion = arma_expand(model, M=600)
         cov = expansion.autocov
         for n in (8, 20, 50):
-            freqs = FrequencyGrid.fourier(n).frequencies
-            f_true = model.density
+            grid = FrequencyGrid.fourier(n)
+            E = _dft_rows(np.eye(n), grid)
             err = 0.0
-            for w in freqs:
-                e = _dft_vector(n, w)
-                mean, _ = expected_quadratic(e, e, cov)
-                reference = fejer_expected_periodogram(f_true, n, float(w))
+            for i, w in enumerate(grid.frequencies):
+                mean, _ = expected_quadratic(E[:, i], E[:, i], cov)
+                reference = fejer_expected_periodogram(model.density, n, float(w))
                 err = max(err, abs(mean.real - reference) / reference)
             results.append(CheckResult(f"expectation closure {name} n={n}", err, _TOL_CLOSURE))
 

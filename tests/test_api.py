@@ -7,17 +7,16 @@ import pytest
 import predspec
 from predspec import (
     ArModel, ArmaModel, AutoAIC, CovarianceSequence, EstimatorSpec, Explicit, FixedOrder,
-    FrequencyGrid, MetricRow, TimeSeries, TruncatedInfinite, aic_select, ar_family,
-    arma_expand, raw_periodogram, spectral_window, tukey_taper, whittle_fit,
+    FrequencyGrid, MetricRow, TimeSeries, TruncatedInfinite, aic_select, arma_expand,
+    raw_periodogram, spectral_window, tukey_taper, whittle_fit,
 )
 
 _PUBLIC = [
-    "ArModel", "ArmaExpansion", "ArmaModel", "AutoAIC", "CovarianceSequence",
-    "DomainError", "ESTIMATOR_KINDS", "EstimatorSpec", "ExperimentSpec", "Explicit",
-    "FixedOrder", "FourierSum", "FrequencyGrid", "MetricRow", "MetricTable",
-    "NumericalError", "OrderSelection", "PeriodogramEstimate", "PgMeta", "PredspecError",
-    "RiemannIntegral", "SpectralFamily", "SpectralMeanConfig", "SpectralWindow", "Taper",
-    "TimeSeries", "TruncatedInfinite", "WhittleResult", "acf_estimate", "aic_select",
+    "ArModel", "ArmaExpansion", "ArmaModel", "AutoAIC", "CovarianceSequence", "DomainError",
+    "ESTIMATOR_KINDS", "EstimatorSpec", "ExperimentSpec", "Explicit", "FixedOrder",
+    "FrequencyGrid", "MetricRow", "MetricTable", "NumericalError", "OrderSelection",
+    "PeriodogramEstimate", "PgMeta", "PredspecError", "SpectralMeanConfig", "SpectralWindow",
+    "Taper", "TimeSeries", "TruncatedInfinite", "WhittleResult", "acf_estimate", "aic_select",
     "ar_family", "arma_expand", "builtin_models", "complete_periodogram", "default_rise",
     "dft", "evaluate_estimator", "expected_quadratic", "fejer_expected_periodogram",
     "finite_predictor_coeffs", "levinson_durbin", "predictive_dft",
@@ -70,7 +69,7 @@ _ARRAY_HOLDERS = {
     "ArmaExpansion": lambda: arma_expand(ArmaModel([0.5], [0.2], 1.0)),
     "TruncatedInfinite": lambda: TruncatedInfinite([0.5, 0.2]),
     "SpectralWindow": lambda: spectral_window("daniell", 2),
-    "WhittleResult": lambda: whittle_fit(TimeSeries(_SERIES), ar_family(1), EstimatorSpec("regular"), [0.1]),
+    "WhittleResult": lambda: whittle_fit(TimeSeries(_SERIES), 1, EstimatorSpec("regular"), [0.1]),
     "MetricRow": lambda: MetricRow("regular", 1.0, 0.5, 0.1, 0.1, np.zeros(2), np.zeros(2)),
     "Explicit": lambda: Explicit(ArModel([0.5, 0.2], 1.0)),
     "EstimatorSpec": lambda: EstimatorSpec("complete-true", source=Explicit(ArModel([0.5], 1.0))),

@@ -18,6 +18,7 @@ from predspec import (
     raw_periodogram,
     simulate_arma,
 )
+from predspec import verify
 from predspec.cli import _CONFIG_KEYS, _build_parser, _number, main, parse_experiment_config
 
 
@@ -355,6 +356,20 @@ def test_verify_oracle_suite_runs(capsys):
     assert main(["verify", "--suite", "oracle"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_default_runs_both_suites_in_order(monkeypatch, capsys):
+    """`predspec verify` without --suite is `run_suite("all")`: the
+    unbiasedness checks, then the oracle checks.  The two reports are
+    stubbed; the tests above run them."""
+    monkeypatch.setattr(verify, "unbiasedness_report", lambda: [verify.CheckResult("unbiased", 0.0, 1.0)])
+    monkeypatch.setattr(verify, "oracle_report", lambda: [verify.CheckResult("oracle", 2.0, 1.0)])
+    assert [res.name for res in verify.run_suite()] == ["unbiased", "oracle"]
+    assert main(["verify"]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS unbiased: max error 0.000e+00 (tol 1e+00)",
+        "FAIL oracle: max error 2.000e+00 (tol 1e+00)",
+    ]
 
 
 def _child_env() -> dict:

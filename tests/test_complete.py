@@ -25,7 +25,6 @@ from predspec import (
     arma_expand,
     builtin_models,
     acf_estimate,
-    ar_family,
     complete_periodogram,
     dft,
     evaluate_estimator,
@@ -419,7 +418,7 @@ def _analyse(ts):
         evaluate_estimator(ts, EstimatorSpec("complete"), grid),
         evaluate_estimator(ts, EstimatorSpec("tapered-complete"), grid),
         acf_estimate(ts, 5, EstimatorSpec("complete"), _CFG),
-        whittle_fit(ts, ar_family(2), EstimatorSpec("complete"), [0.1, 0.1], _CFG),
+        whittle_fit(ts, 2, EstimatorSpec("complete"), [0.1, 0.1], _CFG),
     )
 
 
@@ -517,5 +516,5 @@ def test_kept_fits_give_the_unstored_bits(data):
         elif use == "acf":
             call = lambda s: acf_estimate(s, 3, spec, _CFG)
         else:
-            call = lambda s: whittle_fit(s, ar_family(1), spec, [0.1], _CFG)
+            call = lambda s: whittle_fit(s, 1, spec, [0.1], _CFG)
         _assert_same_bits(_outcome(call, ts), _outcome(call, TimeSeries(ts.values)))

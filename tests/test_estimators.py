@@ -31,6 +31,10 @@ def test_estimator_spec_validation():
         lambda: EstimatorSpec("tapered", source=FixedOrder(2)),
         lambda: EstimatorSpec("complete-true", source=FixedOrder(2)),
         lambda: EstimatorSpec("complete-true", source=AutoAIC()),
+        # falsy non-sources are not read as "no source"
+        lambda: EstimatorSpec("complete", source=[]),
+        lambda: EstimatorSpec("complete", source=0),
+        lambda: EstimatorSpec("tapered-complete", source=""),
     ):
         with pytest.raises(DomainError):
             bad()

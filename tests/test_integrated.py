@@ -9,12 +9,10 @@ from predspec import (
     ArmaModel,
     DomainError,
     EstimatorSpec,
+    ExperimentSpec,
     Explicit,
-    FourierSum,
     FrequencyGrid,
     NumericalError,
-    RiemannIntegral,
-    SpectralFamily,
     SpectralMeanConfig,
     SpectralWindow,
     TimeSeries,
@@ -134,7 +132,7 @@ def test_spectral_mean_fourier_sum_is_mean():
     rng = np.random.default_rng(2)
     ts = TimeSeries(rng.standard_normal(16))
     pg = raw_periodogram(ts, FrequencyGrid.fourier(16))
-    got = spectral_mean(lambda w: np.ones_like(w), pg, SpectralMeanConfig(mode=FourierSum()))
+    got = spectral_mean(lambda w: np.ones_like(w), pg, SpectralMeanConfig(points=None))
     assert got.real == pytest.approx(pg.values.real.mean(), rel=1e-12)
     # Parseval: the flat spectral mean of the regular periodogram is c-hat(0)
     assert got.real == pytest.approx(sample_autocov(ts, 0).lags[0], rel=1e-9)
@@ -150,7 +148,7 @@ def test_spectral_mean_riemann_recovers_autocov():
     for pts in (500, 2000):
         grid = FrequencyGrid.uniform(pts)
         pg = complete_periodogram(ts, Explicit(model.pure_ar()), grid)
-        cfg = SpectralMeanConfig(mode=RiemannIntegral(points=pts))
+        cfg = SpectralMeanConfig(points=pts)
         vals[pts] = spectral_mean(lambda w: np.cos(2 * w), pg, cfg).real
     assert vals[500] == pytest.approx(vals[2000], rel=1e-3)
 
@@ -159,27 +157,29 @@ def test_spectral_mean_grid_mismatch_errors():
     ts = TimeSeries(np.ones(8))
     pg = raw_periodogram(ts, FrequencyGrid.fourier(8))
     with pytest.raises(DomainError):
-        spectral_mean(np.cos, pg, SpectralMeanConfig(mode=RiemannIntegral(points=500)))
+        spectral_mean(np.cos, pg, SpectralMeanConfig(points=500))
     pg_u = raw_periodogram(ts, FrequencyGrid.uniform(100))
     with pytest.raises(DomainError):
-        spectral_mean(np.cos, pg_u, SpectralMeanConfig(mode=FourierSum()))
+        spectral_mean(np.cos, pg_u, SpectralMeanConfig(points=None))
     with pytest.raises(DomainError):
-        spectral_mean(np.cos, pg_u, SpectralMeanConfig(mode=RiemannIntegral(points=200)))
-    for mode in ("bogus", None):
-        with pytest.raises(DomainError, match="quadrature mode"):
-            SpectralMeanConfig(mode=mode)
+        spectral_mean(np.cos, pg_u, SpectralMeanConfig(points=200))
 
 
 def test_riemann_points_floor():
-    with pytest.raises(DomainError):
-        RiemannIntegral(points=4)
+    with pytest.raises(DomainError, match="Riemann cell count must be >= 8"):
+        SpectralMeanConfig(points=4)
+    with pytest.raises(DomainError, match="Riemann cell count must be >= 8"):
+        ExperimentSpec(builtin_models("m1", 0.9), 20, 1, [EstimatorSpec("regular")], 0,
+                       acf_lags=2, acf_points=4)
+    assert SpectralMeanConfig(points=8).grid_for(20).size == 8
+    assert SpectralMeanConfig(points=None).grid_for(20).kind == "fourier"
 
 
 # -------------------------------------------------------------------- acf
 
 def test_acf_zero_lag_is_one():
     ts = simulate_arma(builtin_models("m1", 0.7), 30, 4)
-    cfg = SpectralMeanConfig(mode=RiemannIntegral(points=500), threshold=1e-3)
+    cfg = SpectralMeanConfig(points=500, threshold=1e-3)
     _, acf = acf_estimate(ts, 5, EstimatorSpec("complete"), cfg)
     assert acf[0] == 1.0
 
@@ -190,10 +190,10 @@ def test_acf_white_noise_small():
     rng = np.random.default_rng(88)
     ts = TimeSeries(rng.standard_normal(5000))
     _, acf = acf_estimate(
-        ts, 10, EstimatorSpec("regular"), SpectralMeanConfig(mode=FourierSum())
+        ts, 10, EstimatorSpec("regular"), SpectralMeanConfig(points=None)
     )
     assert np.max(np.abs(acf[1:])) < 0.05
-    cfg = SpectralMeanConfig(mode=RiemannIntegral(points=5000))
+    cfg = SpectralMeanConfig(points=5000)
     _, acf_r = acf_estimate(ts, 10, EstimatorSpec("regular"), cfg)
     assert np.max(np.abs(acf_r[1:])) < 0.05
 
@@ -203,14 +203,14 @@ def test_acf_regular_riemann_matches_sample_autocov():
     # reproduces the biased sample autocovariances (Fejer/cosine algebra)
     rng = np.random.default_rng(30)
     ts = TimeSeries(rng.standard_normal(25))
-    cfg = SpectralMeanConfig(mode=RiemannIntegral(points=2048))
+    cfg = SpectralMeanConfig(points=2048)
     autocov, _ = acf_estimate(ts, 4, EstimatorSpec("regular"), cfg)
     np.testing.assert_allclose(autocov, sample_autocov(ts, 4).lags, rtol=1e-10)
 
 
 def test_acf_thresholded_sequence_positive_definite():
     rng = np.random.default_rng(91)
-    cfg = SpectralMeanConfig(mode=RiemannIntegral(points=500), threshold=1e-3)
+    cfg = SpectralMeanConfig(points=500, threshold=1e-3)
     for _ in range(10):
         ts = TimeSeries(rng.standard_normal(int(rng.integers(12, 40))))
         autocov, _ = acf_estimate(ts, 8, EstimatorSpec("complete"), cfg)
@@ -224,14 +224,14 @@ def test_acf_advises_threshold_when_variance_nonpositive():
     # a complete periodogram can integrate to a negative c(0) on adversarial
     # input; the error message points at the fix
     ts = TimeSeries([4.0, -0.5, 0.25, -0.125, 4.0, -2.0, 8.0, 1.0])
-    cfg = SpectralMeanConfig(mode=RiemannIntegral(points=500))
+    cfg = SpectralMeanConfig(points=500)
     spec = EstimatorSpec("complete-true", source=Explicit(ArModel([-0.95], 1.0)))
     try:
         acf_estimate(ts, 3, spec, cfg)
     except NumericalError as err:
         assert "threshold" in str(err)
     # same call with a threshold always succeeds
-    cfg2 = SpectralMeanConfig(mode=RiemannIntegral(points=500), threshold=1e-3)
+    cfg2 = SpectralMeanConfig(points=500, threshold=1e-3)
     autocov, _ = acf_estimate(ts, 3, spec, cfg2)
     assert autocov[0] >= 1e-3
 
@@ -249,14 +249,14 @@ _SHORT = TimeSeries(np.sin(np.arange(12.0)))
 
 def test_whittle_recovers_ar1():
     ts = simulate_arma(_ar1(0.6), 2000, 10)
-    res = whittle_fit(ts, ar_family(1), EstimatorSpec("regular"), [0.0])
+    res = whittle_fit(ts, 1, EstimatorSpec("regular"), [0.0])
     assert res.converged
     assert abs(res.theta[0] - 0.6) < 0.05
 
 
 def test_whittle_objective_improves_on_init():
     ts = simulate_arma(_ar1(0.6), 300, 77)
-    res = whittle_fit(ts, ar_family(1), EstimatorSpec("regular"), [0.3])
+    res = whittle_fit(ts, 1, EstimatorSpec("regular"), [0.3])
     init_value = res.trace[0][1]
     assert res.value <= init_value + 1e-12
 
@@ -264,8 +264,8 @@ def test_whittle_objective_improves_on_init():
 def test_whittle_fourier_mode_matches_circular_yule_walker():
     n = 512
     ts = simulate_arma(_ar1(0.6), n, 8)
-    cfg = SpectralMeanConfig(mode=FourierSum())
-    res = whittle_fit(ts, ar_family(1), EstimatorSpec("regular"), [0.0], cfg=cfg)
+    cfg = SpectralMeanConfig(points=None)
+    res = whittle_fit(ts, 1, EstimatorSpec("regular"), [0.0], cfg=cfg)
     pg = raw_periodogram(ts, FrequencyGrid.fourier(n))
     w = pg.grid.frequencies
     c0 = pg.values.real.mean()
@@ -277,12 +277,13 @@ def test_whittle_family_dimension_below_series_length():
     ts = simulate_arma(_ar1(0.5), 3, 1)
     for dim in (3, 4, 100_000):
         with pytest.raises(DomainError, match="below the series length"):
-            whittle_fit(ts, SpectralFamily(dim), EstimatorSpec("complete"), [0.0] * dim)
+            whittle_fit(ts, dim, EstimatorSpec("complete"), [0.0] * dim)
+    # `ar_family` checks the order and returns it
     assert whittle_fit(ts, ar_family(2), EstimatorSpec("regular"), [0.0, 0.0]).theta.size == 2
 
 
 # One listed case for each guard of this module that no other test reaches.
-_FOURIER = SpectralMeanConfig(mode=FourierSum())
+_FOURIER = SpectralMeanConfig(points=None)
 
 
 @pytest.mark.parametrize(
@@ -312,14 +313,14 @@ _FOURIER = SpectralMeanConfig(mode=FourierSum())
             NumericalError,
             "set cfg.threshold",
         ),
-        (lambda: whittle_fit(_SHORT, ar_family(2), EstimatorSpec("regular"), [0.1]), DomainError, "one finite number"),
-        (lambda: whittle_fit(_SHORT, ar_family(1), EstimatorSpec("regular"), [[0.1]]), DomainError, "one finite number"),
-        (lambda: whittle_fit(_SHORT, ar_family(1), EstimatorSpec("regular"), [np.nan]), DomainError, "one finite number"),
-        (lambda: whittle_fit(_SHORT, ar_family(1), EstimatorSpec("regular"), [np.inf]), DomainError, "one finite number"),
+        (lambda: whittle_fit(_SHORT, 2, EstimatorSpec("regular"), [0.1]), DomainError, "one finite number"),
+        (lambda: whittle_fit(_SHORT, 1, EstimatorSpec("regular"), [[0.1]]), DomainError, "one finite number"),
+        (lambda: whittle_fit(_SHORT, 1, EstimatorSpec("regular"), [np.nan]), DomainError, "one finite number"),
+        (lambda: whittle_fit(_SHORT, 1, EstimatorSpec("regular"), [np.inf]), DomainError, "one finite number"),
         # cosine moments that are not positive definite at order 3
         (
             lambda: whittle_fit(
-                TimeSeries([0.03, 0.06, -2.8, -0.54, -0.05, -4.0]), ar_family(3),
+                TimeSeries([0.03, 0.06, -2.8, -0.54, -0.05, -4.0]), 3,
                 EstimatorSpec("complete-true", source=Explicit(ArModel([0.9], 1.0))), [0.0] * 3, _FOURIER,
             ),
             NumericalError,
@@ -328,7 +329,7 @@ _FOURIER = SpectralMeanConfig(mode=FourierSum())
         # an uncentred near-constant series: c(1)/c(0) within 1e-12 of 1
         (
             lambda: whittle_fit(
-                TimeSeries(1.0 + 1e-7 * np.array([1.0, -1.0, 1.0, -1.0, 0.0, 0.0])), ar_family(1),
+                TimeSeries(1.0 + 1e-7 * np.array([1.0, -1.0, 1.0, -1.0, 0.0, 0.0])), 1,
                 EstimatorSpec("regular"), [0.0], _FOURIER,
             ),
             NumericalError,
@@ -386,8 +387,8 @@ def _golden_series():
 
 
 _GOLDEN_MODES = {
-    "riemann": SpectralMeanConfig(mode=RiemannIntegral(500), threshold=1e-3),
-    "fourier": SpectralMeanConfig(mode=FourierSum()),
+    "riemann": SpectralMeanConfig(points=500, threshold=1e-3),
+    "fourier": SpectralMeanConfig(points=None),
 }
 
 
@@ -395,7 +396,7 @@ def test_whittle_golden_results():
     series = _golden_series()
     for (s, p, mode, kind), (theta, value, evals, converged) in _WHITTLE_GOLDEN.items():
         res = whittle_fit(
-            series[s], ar_family(p), EstimatorSpec(kind), [0.1] * p, _GOLDEN_MODES[mode]
+            series[s], p, EstimatorSpec(kind), [0.1] * p, _GOLDEN_MODES[mode]
         )
         got = ([float(t) for t in res.theta], res.value, len(res.trace), res.converged)
         assert got == (theta, value, evals, converged), (s, p, mode, kind)
@@ -412,14 +413,14 @@ def test_whittle_golden_results():
 def test_whittle_trace_matches_mean_formula(p, n, seed, mode, kind):
     """Every (theta, value) the fit records is mean(vals/f) + mean(log f),
     recomputed at theta from the transfer polynomial, bit for bit."""
-    cfg = _GOLDEN_MODES.get(mode, SpectralMeanConfig(mode=RiemannIntegral(500)))
+    cfg = _GOLDEN_MODES.get(mode, SpectralMeanConfig(points=500))
     ts = simulate_arma(builtin_models("m1", 0.7), n, seed).center()
     pg = evaluate_estimator(ts, EstimatorSpec(kind), cfg.grid_for(n))
     if cfg.threshold is not None:
         pg = threshold_real(pg, cfg.threshold)
     vals = pg.values.real
     w = pg.grid.frequencies
-    res = whittle_fit(ts, ar_family(p), EstimatorSpec(kind), [0.1] * p, cfg)
+    res = whittle_fit(ts, p, EstimatorSpec(kind), [0.1] * p, cfg)
     for theta, value in res.trace:
         aw = _transfer_polynomial(theta, w)
         f = 1.0 / (aw.real**2 + aw.imag**2)
@@ -462,7 +463,7 @@ def test_whittle_matches_scipy_over_the_causal_region(model, n, p, seed, mode, k
         f = 1.0 / (aw.real**2 + aw.imag**2)
         return float(np.mean(vals / f) + np.mean(np.log(f)))
 
-    res = whittle_fit(ts, ar_family(p), EstimatorSpec(kind), [0.0] * p, cfg)
+    res = whittle_fit(ts, p, EstimatorSpec(kind), [0.0] * p, cfg)
     theirs = scipy.optimize.minimize(objective, np.zeros(p), method="BFGS", options={"gtol": 1e-9})
     assert res.converged
     assert np.max(np.abs(res.theta - _step_up(np.tanh(theirs.x)))) < 1e-6
@@ -475,7 +476,7 @@ def test_whittle_m2_ar3_is_causal():
     cfg = SpectralMeanConfig(threshold=1e-3)
     for seed in range(5):
         ts = simulate_arma(builtin_models("m2"), 600, seed).center()
-        res = whittle_fit(ts, ar_family(3), EstimatorSpec("complete"), [0.1] * 3, cfg)
+        res = whittle_fit(ts, 3, EstimatorSpec("complete"), [0.1] * 3, cfg)
         ArModel(res.theta, 1.0)  # DomainError unless causal
         assert res.converged and res.theta[0] > 1.9
 
@@ -484,7 +485,7 @@ def test_whittle_high_orders_converge():
     ts = simulate_arma(builtin_models("m2"), 600, 3).center()
     cfg = SpectralMeanConfig(threshold=1e-3)
     for p in (8, 10):
-        res = whittle_fit(ts, ar_family(p), EstimatorSpec("regular"), [0.0] * p, cfg)
+        res = whittle_fit(ts, p, EstimatorSpec("regular"), [0.0] * p, cfg)
         ArModel(res.theta, 1.0)
         assert res.converged and res.value < 0.95
 
@@ -496,7 +497,7 @@ def test_whittle_boundary_infimum_is_not_converged():
     cases = [(0.7, 2, 51), (0.9, 3, 33)]  # (m1 lambda, order, evaluations)
     for lam, p, evals in cases:
         ts = simulate_arma(builtin_models("m1", lam), 20, 8).center()
-        res = whittle_fit(ts, ar_family(p), EstimatorSpec("regular"), [0.0] * p, _FOURIER)
+        res = whittle_fit(ts, p, EstimatorSpec("regular"), [0.0] * p, _FOURIER)
         ArModel(res.theta, 1.0)
         assert not res.converged and len(res.trace) == evals
         assert res.value < res.trace[0][1]
@@ -522,7 +523,7 @@ def test_whittle_fit_is_causal(walk, n, p, seed, mode, kind):
         ts = simulate_arma(builtin_models("m1", 0.95), n, seed).center()
     cfg = SpectralMeanConfig() if mode == "riemann" else _FOURIER
     try:
-        res = whittle_fit(ts, ar_family(p), EstimatorSpec(kind), [0.0] * p, cfg)
+        res = whittle_fit(ts, p, EstimatorSpec(kind), [0.0] * p, cfg)
     except NumericalError:
         return
     ArModel(res.theta, 1.0)

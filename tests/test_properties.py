@@ -13,7 +13,6 @@ from predspec import (
     EstimatorSpec,
     Explicit,
     FrequencyGrid,
-    RiemannIntegral,
     SpectralMeanConfig,
     TimeSeries,
     acf_estimate,
@@ -79,7 +78,7 @@ def test_window_normalization_200_cases():
 
 def test_thresholded_acf_positive_definite_100_cases():
     rng = np.random.default_rng(404)
-    cfg = SpectralMeanConfig(mode=RiemannIntegral(points=300), threshold=1e-3)
+    cfg = SpectralMeanConfig(points=300, threshold=1e-3)
     for case in range(100):
         n = int(rng.integers(10, 40))
         x = rng.standard_normal(n) * rng.uniform(0.2, 3.0)

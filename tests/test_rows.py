@@ -14,7 +14,6 @@ from predspec import (
     Explicit,
     FixedOrder,
     FrequencyGrid,
-    RiemannIntegral,
     SpectralMeanConfig,
     TimeSeries,
     TruncatedInfinite,
@@ -113,7 +112,7 @@ def test_acf_block_rows_match_acf_estimate():
         for est, values in zip(specs, record.values):
             got = prep.reduce(est, values)
             single = EstimatorSpec(est.kind, source=truth) if est.kind == "complete-true" else est
-            cfg = SpectralMeanConfig(RiemannIntegral(spec.acf_points), spec.threshold if est.completed else None)
+            cfg = SpectralMeanConfig(spec.acf_points, spec.threshold if est.completed else None)
             for row, acf in zip(x[:rows], got):
                 np.testing.assert_array_equal(acf, acf_estimate(TimeSeries(row), 5, single, cfg)[1][1:],
                                               err_msg=f"{est.label}, block of {rows}")

@@ -19,7 +19,6 @@ from predspec import (
     FrequencyGrid,
     PeriodogramEstimate,
     PgMeta,
-    RiemannIntegral,
     SpectralMeanConfig,
     Taper,
     TimeSeries,
@@ -159,9 +158,11 @@ _SPEC = dict(model=_M1, n=20, replications=10, estimators=(EstimatorSpec("regula
         lambda: acf_estimate(_TS, True, EstimatorSpec("regular"), SpectralMeanConfig()),
         lambda: ar_family(2.0),
         lambda: ar_family(2.5),
-        lambda: RiemannIntegral(points=8.5),
-        lambda: RiemannIntegral("x"),
-        lambda: whittle_fit(_TS, ar_family(1), EstimatorSpec("regular"), ["a"]),
+        lambda: SpectralMeanConfig(points=8.5),
+        lambda: SpectralMeanConfig("x"),
+        lambda: ExperimentSpec(**{**_SPEC, "acf_lags": 3, "acf_points": None}),
+        lambda: whittle_fit(_TS, 1.5, EstimatorSpec("regular"), [0.0]),
+        lambda: whittle_fit(_TS, 1, EstimatorSpec("regular"), ["a"]),
         lambda: run_experiment(ExperimentSpec(**_SPEC), threads=2.5),
         lambda: run_experiment(ExperimentSpec(**_SPEC), threads=True),
         lambda: run_experiment(ExperimentSpec(**_SPEC), threads="4"),
@@ -178,7 +179,8 @@ _SPEC = dict(model=_M1, n=20, replications=10, estimators=(EstimatorSpec("regula
          "expand-M", "fourier-size", "uniform-size", "tukey-d", "autocov-lag",
          "levinson-order", "yule-walker-order", "aic-max-order", "acf-lags-float", "acf-lags-bool",
          "family-order-2.0", "family-order-2.5", "riemann-points", "riemann-points-str",
-         "whittle-init-str", "threads-float", "threads-bool", "threads-str",
+         "acf-points-none", "whittle-order", "whittle-init-str", "threads-float", "threads-bool",
+         "threads-str",
          "dft-matrix-n", "predictor-n", "predictor-tau", "bruteforce-horizon", "fejer-n",
          "fejer-points", "toeplitz-n"],
 )
@@ -341,7 +343,7 @@ for row in table.rows:
     digest.update(np.array([row.imse, row.ibias, row.imse_se, row.ibias_se]).tobytes())
 for seed, n in ((1, 200), (2, 333), (3, 480)):
     ts = ps.simulate_arma(ps.builtin_models("m2"), n, seed).center()
-    fit = ps.whittle_fit(ts, ps.ar_family(3), E("complete"), [0.1] * 3,
+    fit = ps.whittle_fit(ts, 3, E("complete"), [0.1] * 3,
                          ps.SpectralMeanConfig(threshold=1e-3))
     digest.update(fit.theta.tobytes() + np.array([fit.value, fit.converged]).tobytes())
     for theta, value in fit.trace:
