@@ -16,7 +16,6 @@ from .core import CovarianceSequence, TimeSeries, _autocov_rows, _integer, _posi
 from .exceptions import DomainError, NumericalError
 
 __all__ = [
-    "ArModel",
     "ArmaModel",
     "OrderSelection",
     "ArmaExpansion",
@@ -49,8 +48,8 @@ def _ar_phases(freqs, p: int) -> np.ndarray:
 def _transfer_polynomial(coeffs: np.ndarray, freqs) -> np.ndarray:
     """1 - sum_j coeffs[..., j-1] * exp(-1j*j*w) at each frequency (1 when empty).
 
-    Serves callers holding an array of frequencies: `ArModel.transfer`, the
-    `ArmaModel` polynomials and, through `_ar_phases`, `whittle_fit`.  Leading
+    Serves callers holding an array of frequencies: the `ArmaModel`
+    polynomials and, through `_ar_phases`, `whittle_fit`.  Leading
     axes of `coeffs` are batch axes: a (rows, p) block gives one polynomial
     per row, shaped (rows, *freqs.shape).  A caller that evaluates many
     coefficient vectors on one grid (`whittle_fit`'s Newton steps) builds the
@@ -63,38 +62,13 @@ def _transfer_polynomial(coeffs: np.ndarray, freqs) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ArModel:
-    """Causal AR(p) model: coefficients a[1..p] and innovation variance."""
-
-    coeffs: np.ndarray
-    sigma2: float
-
-    def __post_init__(self):
-        a = _vector(self, "coeffs", "AR coefficients", empty=True)
-        _positive(self.sigma2, "innovation variance")
-        if not _causal(a):
-            raise DomainError("AR model is not causal (root on or inside the unit circle)")
-
-    @property
-    def p(self) -> int:
-        return self.coeffs.size
-
-    def transfer(self, freqs: np.ndarray) -> np.ndarray:
-        """a(w) = 1 - sum_j a[j] exp(-1j*j*w)."""
-        return _transfer_polynomial(self.coeffs, freqs)
-
-    def density(self, freqs: np.ndarray) -> np.ndarray:
-        aw = self.transfer(freqs)
-        return self.sigma2 / (aw.real**2 + aw.imag**2)
-
-
-@dataclass(frozen=True, eq=False)
 class ArmaModel:
     """Causal ARMA(P, Q): x[t] = sum ar[i] x[t-i] + e[t] + sum ma[j] e[t-j].
 
-    The AR polynomial must have all roots strictly outside the unit circle;
-    the MA polynomial may touch the circle (strict invertibility is demanded
-    only where an AR-series expansion is requested).
+    An AR(p) model is the case ma=[].  The AR polynomial must have all roots
+    strictly outside the unit circle; the MA polynomial may touch the circle
+    (strict invertibility is demanded only where an AR-series expansion is
+    requested).
     """
 
     ar: np.ndarray
@@ -128,12 +102,6 @@ class ArmaModel:
         phi = self.ar_polynomial(freqs)
         psi = self.ma_polynomial(freqs)
         return self.sigma2 * (psi.real**2 + psi.imag**2) / (phi.real**2 + phi.imag**2)
-
-    def pure_ar(self) -> ArModel:
-        """The ArModel view of an ARMA with no MA part."""
-        if self.q != 0:
-            raise DomainError("model has a moving-average part")
-        return ArModel(self.ar, self.sigma2)
 
 
 def _arma(model) -> ArmaModel:
@@ -173,13 +141,13 @@ def _levinson_rows(c: np.ndarray, pmax: int):
     return coeffs, sigma2
 
 
-def levinson_durbin(cov: CovarianceSequence, p: int) -> ArModel:
+def levinson_durbin(cov: CovarianceSequence, p: int) -> ArmaModel:
     """Solve the order-p prediction equations from c(0..p) by the Levinson
     recursion; returns the fitted model with its innovation variance."""
     if cov.max_lag < _integer(p, "order", 0):
         raise DomainError(f"need lags 0..{p}, covariance holds 0..{cov.max_lag}")
     coeffs, sigma2 = _levinson_rows(cov.lags[None], p)
-    return ArModel(coeffs[0, p, :p], float(sigma2[0, p]))
+    return ArmaModel(coeffs[0, p, :p], [], float(sigma2[0, p]))
 
 
 def _yule_walker_rows(x: np.ndarray, p: int):
@@ -193,10 +161,10 @@ def _yule_walker_rows(x: np.ndarray, p: int):
     return _levinson_rows(c, p)
 
 
-def yule_walker_fit(ts: TimeSeries, p: int) -> ArModel:
+def yule_walker_fit(ts: TimeSeries, p: int) -> ArmaModel:
     """Fit AR(p) by the sample autocovariances of `ts` (assumed mean zero)."""
     coeffs, sigma2 = _yule_walker_rows(ts.values[None], p)
-    return ArModel(coeffs[0, p, :p], float(sigma2[0, p]))
+    return ArmaModel(coeffs[0, p, :p], [], float(sigma2[0, p]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +174,7 @@ class OrderSelection:
     chosen_p: int
     k_n: int
     aic_values: np.ndarray
-    model: ArModel
+    model: ArmaModel
 
     def __post_init__(self):
         vals = _vector(self, "aic_values", "criterion values")
@@ -285,7 +253,7 @@ def aic_select(ts: TimeSeries, max_order: int | None = None) -> OrderSelection:
     """
     orders, coeffs, sigma2, aic = _aic_rows(ts.values[None], max_order)
     p = int(orders[0])
-    model = ArModel(coeffs[0, :p], float(sigma2[0]))
+    model = ArmaModel(coeffs[0, :p], [], float(sigma2[0]))
     return OrderSelection(chosen_p=p, k_n=aic.shape[1], aic_values=aic[0], model=model)
 
 

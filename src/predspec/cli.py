@@ -226,7 +226,7 @@ def _cmd_whittle(args, argv) -> int:
     if name != "ar" or not param:
         raise DomainError("family must be 'ar:P' for an AR(P) spectral family")
     p = _number(int, param, "the family order")
-    result = whittle_fit(ts, p, _estimator_from_flags(args), [0.0] * p, _mean_config(args))
+    result = whittle_fit(ts, p, _estimator_from_flags(args), cfg=_mean_config(args))
     _write_columns(
         args.out,
         _comment(argv),

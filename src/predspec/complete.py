@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .arfit import ArModel, _aic_rows, _yule_walker_rows
+from .arfit import ArmaModel, _aic_rows, _arma, _yule_walker_rows
 from .core import (
     FrequencyGrid,
     PeriodogramEstimate,
@@ -52,14 +52,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Explicit:
-    """Use a known AR model (the no-estimation, true-model variant)."""
+    """Use a known AR model (the no-estimation, true-model variant): an
+    `ArmaModel` with no moving-average part."""
 
-    model: ArModel
+    model: ArmaModel
 
     def __post_init__(self):
-        if not isinstance(self.model, ArModel):
-            raise DomainError(f"Explicit needs an ArModel, got {self.model!r}; "
-                              "convert an ArmaModel with no MA part by .pure_ar()")
+        if _arma(self.model).q:
+            raise DomainError("model has a moving-average part")
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +138,7 @@ def _known(source):
     it keys a dict, so that a list, say, is not reported as unhashable)."""
     if isinstance(source, ModelSource):
         return source
-    raise DomainError(f"unknown model source {source!r}; a known ArModel is passed as Explicit(model)")
+    raise DomainError(f"unknown model source {source!r}; a known AR model is passed as Explicit(model)")
 
 
 def _source_rows(x: np.ndarray, source: ModelSource, fits: dict | None = None):
@@ -156,7 +156,7 @@ def _source_rows(x: np.ndarray, source: ModelSource, fits: dict | None = None):
     if isinstance(source, Explicit):
         if source.model.p > n:
             raise DomainError(f"closed form needs order p <= n (p={source.model.p}, n={n})")
-        return source.model.coeffs[None], np.full(rows, source.model.p)
+        return source.model.ar[None], np.full(rows, source.model.p)
     if isinstance(source, TruncatedInfinite):
         return source.coeffs[None], None
     if source not in fits:
@@ -169,8 +169,9 @@ def _source_rows(x: np.ndarray, source: ModelSource, fits: dict | None = None):
     return fits[source]
 
 
-def predictive_dft_matrix(model: ArModel, n: int, grid: FrequencyGrid) -> np.ndarray:
-    """Coefficient matrix D (n x grid.size) with predictive DFT = x @ D.
+def predictive_dft_matrix(model: ArmaModel, n: int, grid: FrequencyGrid) -> np.ndarray:
+    """Coefficient matrix D (n x grid.size) with predictive DFT = x @ D,
+    under a known AR model (an `ArmaModel` with no moving-average part).
 
     Exposing the linear form lets exact-expectation checks treat the
     correction as a vector of weights on the observations; only the first

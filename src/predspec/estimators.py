@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .complete import AutoAIC, Explicit, ModelSource, _estimate, _known
-from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries, tukey_taper
+from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries, _integer, tukey_taper
 from .exceptions import DomainError
 
 __all__ = ["ESTIMATOR_KINDS", "EstimatorSpec", "evaluate_estimator", "default_rise"]
@@ -54,8 +54,10 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown estimator kind {self.kind!r}")
-        if self.taper_d is not None and not self.tapered:
-            raise DomainError(f"the {self.kind} estimator takes no taper rise length")
+        if self.taper_d is not None:
+            if not self.tapered:
+                raise DomainError(f"the {self.kind} estimator takes no taper rise length")
+            object.__setattr__(self, "taper_d", _integer(self.taper_d, "rise length d", 1))
         model = _KINDS[self.kind][1]
         if self.source is not None:
             if model is None:

@@ -230,7 +230,7 @@ def whittle_fit(
     ts: TimeSeries,
     p: int,
     estimator: EstimatorSpec,
-    init: Sequence[float],
+    init: Sequence[float] | None = None,
     cfg: SpectralMeanConfig | None = None,
 ) -> WhittleResult:
     """Minimize the spectral-divergence objective over the causal AR(p) region.
@@ -245,28 +245,30 @@ def whittle_fit(
     NumericalError.  Newton steps on the discretized K follow: the gradient
     and the Hessian come from the `_ar_phases` table, the Hessian's
     eigenvalues are floored to positive, and each step is halved until it is
-    causal (`ArModel`'s root rule) and lowers K.  A trial's change in K is
-    summed from its change in |a_theta|**2, so rounding in K does not decide
-    it.  The fit converges when a step is below 1e-10 in every coordinate;
-    it returns converged=False when no halving of a step lowers K or after
-    50 steps, which happens where the infimum lies on the causal boundary.
-    `trace` holds (theta, K) at the start and after each accepted step.
+    causal (the root rule of `ArmaModel`'s AR part) and lowers K.  A trial's
+    change in K is summed from its change in |a_theta|**2, so rounding in K
+    does not decide it.  The fit converges when a step is below 1e-10 in
+    every coordinate; it returns converged=False when no halving of a step
+    lowers K or after 50 steps, which happens where the infimum lies on the
+    causal boundary.  `trace` holds (theta, K) at the start and after each
+    accepted step.
 
-    `init` is checked (p finite numbers) and has no effect: the start is
-    the Yule-Walker solution.  It stays in the signature for the callers
-    that pass it.
+    `init`, when given, is checked (p finite numbers) and has no effect: the
+    start is the Yule-Walker solution.  It stays in the signature for the
+    callers that pass it.
     """
     if cfg is None:
         cfg = SpectralMeanConfig()
     p = ar_family(p)
     if p >= ts.n:
         raise DomainError("the family order must stay below the series length")
-    try:
-        start = np.asarray(init, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"init must be a sequence of numbers, got {init!r}") from None
-    if start.shape != (p,) or not np.all(np.isfinite(start)):
-        raise DomainError("init must hold one finite number per family parameter")
+    if init is not None:
+        try:
+            start = np.asarray(init, dtype=float)
+        except (TypeError, ValueError):
+            raise DomainError(f"init must be a sequence of numbers, got {init!r}") from None
+        if start.shape != (p,) or not np.all(np.isfinite(start)):
+            raise DomainError("init must hold one finite number per family parameter")
 
     w, vals, table = _spectral_values(ts, p, estimator, cfg)
     try:

@@ -220,7 +220,7 @@ class _Prep:
             self.window = None if spec.smoothing is None else spectral_window(*spec.smoothing)
         truth = None
         if any(est.kind == "complete-true" for est in spec.estimators):
-            truth = Explicit(spec.model.pure_ar())
+            truth = Explicit(spec.model)
         self.plans = _plans(spec.estimators, n, truth)
 
     def reduce(self, est: EstimatorSpec, block: np.ndarray) -> np.ndarray:

@@ -66,7 +66,7 @@ def unbiasedness_report() -> list:
             # column i weights the observations at frequency i
             E = _dft_rows(np.eye(n), grid)
             H = _dft_rows(np.eye(n), grid, tukey_taper(n, default_rise(n)))
-            D = predictive_dft_matrix(model.pure_ar(), n, grid)
+            D = predictive_dft_matrix(model, n, grid)
             err_plain = 0.0
             err_tapered = 0.0
             for i in range(n):
@@ -117,7 +117,7 @@ def oracle_report() -> list:
         expansion = arma_expand(model, M=n + 2 * 200)
         ts = TimeSeries(rng.standard_normal(n))
         grid = FrequencyGrid.fourier(n)
-        closed = ts.values @ predictive_dft_matrix(model.pure_ar(), n, grid)
+        closed = ts.values @ predictive_dft_matrix(model, n, grid)
         brute = predictive_dft_bruteforce(ts, expansion.autocov, grid, horizon=200)
         err = float(np.max(np.abs(closed - brute)))
         label = ",".join(repr(a) for a in coeffs)

@@ -190,7 +190,6 @@ def test_criterion_7_quadratic_form_identity():
     rng = np.random.default_rng(2718)
     for coeffs in ([0.6], [0.5, -0.3]):
         model = ArmaModel(coeffs, [], 1.0)
-        ar = model.pure_ar()
         for n in (8, 16, 32):
             grid = FrequencyGrid.fourier(n)
             dens = model.density(grid.frequencies)
@@ -200,7 +199,7 @@ def test_criterion_7_quadratic_form_identity():
             for _ in range(100):
                 x = rng.standard_normal(n) * rng.uniform(0.5, 2.0)
                 ts = TimeSeries(x)
-                pg = complete_periodogram(ts, Explicit(ar), grid)
+                pg = complete_periodogram(ts, Explicit(model), grid)
                 lhs = float(np.mean(pg.values / dens).real)
                 rhs = float(x @ scipy.linalg.cho_solve(cho, x)) / n
                 worst = max(worst, abs(lhs - rhs) / abs(rhs))
@@ -231,7 +230,7 @@ def test_criterion_8_predictive_dft_oracle_equivalence():
         ts = TimeSeries(rng.standard_normal(n))
         grid = FrequencyGrid.fourier(n)
         cov = arma_expand(model, M=n + 2 * horizon).autocov
-        closed = predictive_dft(ts, Explicit(model.pure_ar()), grid)
+        closed = predictive_dft(ts, Explicit(model), grid)
         brute = predictive_dft_bruteforce(ts, cov, grid, horizon=horizon)
         worst = max(worst, float(np.max(np.abs(closed - brute))))
         done += 1

@@ -6,13 +6,13 @@ import pytest
 
 import predspec
 from predspec import (
-    ArModel, ArmaModel, AutoAIC, CovarianceSequence, EstimatorSpec, Explicit, FixedOrder,
+    ArmaModel, AutoAIC, CovarianceSequence, EstimatorSpec, Explicit, FixedOrder,
     FrequencyGrid, MetricRow, TimeSeries, TruncatedInfinite, aic_select, arma_expand,
     raw_periodogram, spectral_window, tukey_taper, whittle_fit,
 )
 
 _PUBLIC = [
-    "ArModel", "ArmaExpansion", "ArmaModel", "AutoAIC", "CovarianceSequence", "DomainError",
+    "ArmaExpansion", "ArmaModel", "AutoAIC", "CovarianceSequence", "DomainError",
     "ESTIMATOR_KINDS", "EstimatorSpec", "ExperimentSpec", "Explicit", "FixedOrder",
     "FrequencyGrid", "MetricRow", "MetricTable", "NumericalError", "OrderSelection",
     "PeriodogramEstimate", "PgMeta", "PredspecError", "SpectralMeanConfig", "SpectralWindow",
@@ -63,7 +63,6 @@ _ARRAY_HOLDERS = {
     "CovarianceSequence": lambda: CovarianceSequence([1.0, 0.5]),
     "Taper": lambda: tukey_taper(8, 2),
     "PeriodogramEstimate": lambda: raw_periodogram(TimeSeries(_SERIES), FrequencyGrid.fourier(24)),
-    "ArModel": lambda: ArModel([0.5, 0.2], 1.0),
     "ArmaModel": lambda: ArmaModel([0.5], [0.2], 1.0),
     "OrderSelection": lambda: aic_select(TimeSeries(_SERIES)),
     "ArmaExpansion": lambda: arma_expand(ArmaModel([0.5], [0.2], 1.0)),
@@ -71,8 +70,8 @@ _ARRAY_HOLDERS = {
     "SpectralWindow": lambda: spectral_window("daniell", 2),
     "WhittleResult": lambda: whittle_fit(TimeSeries(_SERIES), 1, EstimatorSpec("regular"), [0.1]),
     "MetricRow": lambda: MetricRow("regular", 1.0, 0.5, 0.1, 0.1, np.zeros(2), np.zeros(2)),
-    "Explicit": lambda: Explicit(ArModel([0.5, 0.2], 1.0)),
-    "EstimatorSpec": lambda: EstimatorSpec("complete-true", source=Explicit(ArModel([0.5], 1.0))),
+    "Explicit": lambda: Explicit(ArmaModel([0.5, 0.2], [], 1.0)),
+    "EstimatorSpec": lambda: EstimatorSpec("complete-true", source=Explicit(ArmaModel([0.5], [], 1.0))),
 }
 
 

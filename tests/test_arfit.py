@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from predspec import (
     ArmaModel,
-    ArModel,
     CovarianceSequence,
     DomainError,
     FrequencyGrid,
@@ -20,6 +19,7 @@ from predspec import (
     arma_expand,
     EstimatorSpec,
     ExperimentSpec,
+    Explicit,
     builtin_models,
     levinson_durbin,
     run_experiment,
@@ -32,25 +32,25 @@ from predspec.simulation import _Prep
 
 
 def test_armodel_rejects_noncausal():
-    ArModel([0.5], 1.0)
+    ArmaModel([0.5], [], 1.0)
     with pytest.raises(DomainError):
-        ArModel([1.0], 1.0)  # unit root
+        ArmaModel([1.0], [], 1.0)  # unit root
     with pytest.raises(DomainError):
-        ArModel([0.0, 1.1], 1.0)
+        ArmaModel([0.0, 1.1], [], 1.0)
     with pytest.raises(DomainError):
-        ArModel([0.5], 0.0)
+        ArmaModel([0.5], [], 0.0)
 
 
 def test_armodel_density_convention():
     # AR(0): density identically sigma2, no 2*pi anywhere
-    m = ArModel([], 2.5)
+    m = ArmaModel([], [], 2.5)
     g = FrequencyGrid.fourier(8)
     np.testing.assert_allclose(m.density(g.frequencies), 2.5)
 
 
 def test_levinson_one_step():
     m = levinson_durbin(CovarianceSequence([1.0, 0.5]), 1)
-    np.testing.assert_allclose(m.coeffs, [0.5])
+    np.testing.assert_allclose(m.ar, [0.5])
     assert m.sigma2 == pytest.approx(0.75)
 
 
@@ -60,13 +60,13 @@ def test_levinson_m1_population():
     lam = 0.9
     c0 = 1.0 / (1 - lam**4)
     m = levinson_durbin(CovarianceSequence([c0, 0.0, -(lam**2) * c0]), 2)
-    np.testing.assert_allclose(m.coeffs, [0.0, -(lam**2)], atol=1e-12)
+    np.testing.assert_allclose(m.ar, [0.0, -(lam**2)], atol=1e-12)
     assert m.sigma2 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_levinson_white_noise():
     m = levinson_durbin(CovarianceSequence([1.0, 0.0, 0.0]), 2)
-    np.testing.assert_allclose(m.coeffs, [0.0, 0.0])
+    np.testing.assert_allclose(m.ar, [0.0, 0.0])
     assert m.sigma2 == pytest.approx(1.0)
 
 
@@ -83,7 +83,7 @@ def test_levinson_matches_dense_solve():
         fit = levinson_durbin(cov, p)
         R = scipy.linalg.toeplitz(cov.lags[:p])
         direct = np.linalg.solve(R, cov.lags[1 : p + 1])
-        np.testing.assert_allclose(fit.coeffs, direct, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(fit.ar, direct, rtol=1e-8, atol=1e-10)
 
 
 def test_levinson_monotone_prediction_error():
@@ -111,8 +111,8 @@ def test_levinson_rejects_non_pd():
         (lambda: ArmaModel([], [2.0], 1.0), "MA polynomial root strictly inside"),
         (lambda: levinson_durbin(CovarianceSequence([1.0, 0.5]), 2), r"need lags 0..2, covariance holds 0..1"),
         (lambda: yule_walker_fit(TimeSeries([1.0, -2.0, 0.5]), 3), r"0 <= p < n"),
-        (lambda: OrderSelection(0, 2, np.ones(2), ArModel([], 1.0)), r"selected order must lie in 1..k_n"),
-        (lambda: OrderSelection(1, 2, np.ones(3), ArModel([0.5], 1.0)), "one criterion value per candidate"),
+        (lambda: OrderSelection(0, 2, np.ones(2), ArmaModel([], [], 1.0)), r"selected order must lie in 1..k_n"),
+        (lambda: OrderSelection(1, 2, np.ones(3), ArmaModel([0.5], [], 1.0)), "one criterion value per candidate"),
     ],
     ids=["ma-root-inside", "levinson-lags", "yule-walker-order", "selection-order", "selection-values"],
 )
@@ -131,8 +131,8 @@ def test_yule_walker_order_zero():
 def test_yule_walker_consistency():
     ts = simulate_arma(builtin_models("m1", 0.9), 10000, 2024)
     m = yule_walker_fit(ts, 2)
-    assert abs(m.coeffs[0] - 0.0) < 0.02
-    assert abs(m.coeffs[1] + 0.81) < 0.02
+    assert abs(m.ar[0] - 0.0) < 0.02
+    assert abs(m.ar[1] + 0.81) < 0.02
 
 
 def test_yule_walker_constant_series():
@@ -279,7 +279,7 @@ def test_aic_bounds():
 
 
 def test_ar_density_known_values():
-    m = ArModel([0.0, -0.81], 1.0)
+    m = ArmaModel([0.0, -0.81], [], 1.0)
     dens = m.density(np.array([0.0, np.pi / 2]))
     assert dens[0] == pytest.approx((1 + 0.81) ** -2)
     assert dens[1] == pytest.approx((1 - 0.81) ** -2)  # ~27.7008
@@ -319,7 +319,7 @@ def test_arma_expand_roundtrip_levinson():
         model = ArmaModel(coeffs, [], 1.3)
         cov = arma_expand(model, M=len(coeffs) + 4).autocov
         fit = levinson_durbin(cov, len(coeffs))
-        np.testing.assert_allclose(fit.coeffs, coeffs, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(fit.ar, coeffs, rtol=1e-8, atol=1e-10)
         assert fit.sigma2 == pytest.approx(1.3, rel=1e-8)
 
 
@@ -348,12 +348,11 @@ def test_builtin_models_frozen_coefficients():
         builtin_models("m2", 0.5)
 
 
-def test_pure_ar_conversion():
-    m = builtin_models("m1", 0.9)
-    ar = m.pure_ar()
-    np.testing.assert_allclose(ar.coeffs, [0.0, -0.81])
-    with pytest.raises(DomainError):
-        builtin_models("m2").pure_ar()
+def test_explicit_takes_an_ar_model():
+    # an AR(p) model is an ArmaModel with no MA part
+    assert Explicit(builtin_models("m1", 0.9)).model.q == 0
+    with pytest.raises(DomainError, match="moving-average part"):
+        Explicit(builtin_models("m2"))
 
 
 # Reference: the power-series recursions `arma_expand` ran before it took both

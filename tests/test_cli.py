@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -208,6 +209,19 @@ def test_whittle_command(tmp_path, capsys):
     outp = capsys.readouterr().out.splitlines()
     estimates = [float(l.split(",")[1]) for l in outp[2:]]
     assert abs(estimates[1] + 0.81) < 0.15
+
+
+def test_whittle_rejects_a_huge_order_without_building_for_it(tmp_path):
+    src = tmp_path / "x.csv"
+    _write_series(src, simulate_arma(builtin_models("m1", 0.9), 300, 9).values)
+    tracemalloc.start()
+    try:
+        rc = main(["whittle", str(src), "--family", "ar:5000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert peak < 4e6  # a list of 5e6 starting values alone would take 40 MB
 
 
 def test_simulate_deterministic_bytes(capsys):

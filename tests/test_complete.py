@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predspec import (
-    ArModel,
     ArmaModel,
     AutoAIC,
     DomainError,
@@ -44,7 +43,7 @@ from predspec.arfit import _transfer_polynomial
 def test_predictive_dft_ar0_is_zero():
     ts = TimeSeries([1.0, 2.0, -1.0])
     g = FrequencyGrid.fourier(3)
-    np.testing.assert_allclose(predictive_dft(ts, Explicit(ArModel([], 1.0)), g), 0.0)
+    np.testing.assert_allclose(predictive_dft(ts, Explicit(ArmaModel([], [], 1.0)), g), 0.0)
 
 
 def test_predictive_dft_ar1_hand_value():
@@ -55,7 +54,7 @@ def test_predictive_dft_ar1_hand_value():
     """
     ts = TimeSeries([1.0, 1.0])
     g = FrequencyGrid.explicit([0.0])
-    val = predictive_dft(ts, Explicit(ArModel([0.5], 1.0)), g)[0]
+    val = predictive_dft(ts, Explicit(ArmaModel([0.5], [], 1.0)), g)[0]
     assert val == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
@@ -63,13 +62,13 @@ def test_predictive_dft_order_cannot_exceed_n():
     ts = TimeSeries([1.0, 2.0])
     g = FrequencyGrid.fourier(2)
     with pytest.raises(DomainError):
-        predictive_dft(ts, Explicit(ArModel([0.1, 0.1, 0.1], 1.0)), g)
+        predictive_dft(ts, Explicit(ArmaModel([0.1, 0.1, 0.1], [], 1.0)), g)
 
 
 def test_predictive_dft_takes_a_model_source():
     ts = TimeSeries([1.0, 2.0, -1.0, 0.5])
     with pytest.raises(DomainError, match=r"Explicit\(model\)"):
-        predictive_dft(ts, ArModel([0.5], 1.0), FrequencyGrid.fourier(4))
+        predictive_dft(ts, ArmaModel([0.5], [], 1.0), FrequencyGrid.fourier(4))
     with pytest.raises(DomainError, match="unknown model source None"):
         predictive_dft(ts, None, FrequencyGrid.fourier(4))
     # an unhashable source is reported as unknown, not as unhashable by the block pass's keys
@@ -88,7 +87,7 @@ def test_complete_periodogram_is_dft_plus_predictive_dft_times_conj(data):
     grids = (FrequencyGrid.fourier(n), FrequencyGrid.uniform(data.draw(st.integers(1, 80))),
              FrequencyGrid.explicit(sorted(w)))
     sources = (
-        Explicit(ArModel([0.5, -0.3], 1.0)),
+        Explicit(ArmaModel([0.5, -0.3], [], 1.0)),
         TruncatedInfinite(0.6 ** np.arange(1, data.draw(st.integers(1, 2 * n)) + 1)),
         AutoAIC(),
         FixedOrder(data.draw(st.integers(0, 3))),
@@ -122,7 +121,7 @@ def test_predictive_dft_reads_the_kept_fit():
 def test_predictive_dft_matrix_agrees_with_vector_form():
     rng = np.random.default_rng(77)
     ts = TimeSeries(rng.standard_normal(12))
-    model = ArModel([0.5, -0.3], 1.0)
+    model = ArmaModel([0.5, -0.3], [], 1.0)
     g = FrequencyGrid.fourier(12)
     D = predictive_dft_matrix(model, 12, g)
     np.testing.assert_allclose(ts.values @ D, predictive_dft(ts, Explicit(model), g), rtol=1e-12)
@@ -131,7 +130,7 @@ def test_predictive_dft_matrix_agrees_with_vector_form():
 def test_predictive_dft_only_touches_boundaries():
     # rows p..n-p of the correction matrix are zero: interior observations
     # never feed the extension terms
-    model = ArModel([0.4, 0.2], 1.0)
+    model = ArmaModel([0.4, 0.2], [], 1.0)
     D = predictive_dft_matrix(model, 10, FrequencyGrid.fourier(10))
     np.testing.assert_allclose(D[2:8], 0.0)
     assert np.any(D[:2] != 0) and np.any(D[8:] != 0)
@@ -141,8 +140,8 @@ def test_truncated_infinite_matches_finite_ar():
     rng = np.random.default_rng(5)
     ts = TimeSeries(rng.standard_normal(15))
     g = FrequencyGrid.fourier(15)
-    model = ArModel([0.5, -0.2], 1.0)
-    padded = np.concatenate([model.coeffs, np.zeros(40)])
+    model = ArmaModel([0.5, -0.2], [], 1.0)
+    padded = np.concatenate([model.ar, np.zeros(40)])
     np.testing.assert_allclose(
         predictive_dft(ts, TruncatedInfinite(padded), g),
         predictive_dft(ts, Explicit(model), g),
@@ -180,7 +179,7 @@ def test_truncated_infinite_rejects_vanishing_transfer():
     # the finite and the truncated sources share one guard: a causal AR(1)
     # with |a(0)| = 1e-9 must raise, not return values of order 1/|a(0)|
     series = simulate_arma(builtin_models("m1", 0.7), 100, 3)
-    for source in (Explicit(ArModel([1.0 - 1e-9], 1.0)), TruncatedInfinite([1.0 - 1e-9])):
+    for source in (Explicit(ArmaModel([1.0 - 1e-9], [], 1.0)), TruncatedInfinite([1.0 - 1e-9])):
         with pytest.raises(NumericalError):
             complete_periodogram(series, source, FrequencyGrid.fourier(100))
 
@@ -189,7 +188,7 @@ def test_complete_periodogram_ar0_equals_raw():
     rng = np.random.default_rng(21)
     ts = TimeSeries(rng.standard_normal(9))
     g = FrequencyGrid.fourier(9)
-    pg = complete_periodogram(ts, Explicit(ArModel([], 1.0)), g)
+    pg = complete_periodogram(ts, Explicit(ArmaModel([], [], 1.0)), g)
     np.testing.assert_allclose(
         pg.values, raw_periodogram(ts, g).values.astype(complex), rtol=1e-12
     )
@@ -199,7 +198,7 @@ def test_complete_periodogram_kinds_and_meta():
     ts = simulate_arma(builtin_models("m1", 0.9), 24, 8)
     g = FrequencyGrid.fourier(24)
 
-    true_pg = complete_periodogram(ts, Explicit(ArModel([0.0, -0.81], 1.0)), g)
+    true_pg = complete_periodogram(ts, Explicit(ArmaModel([0.0, -0.81], [], 1.0)), g)
     assert true_pg.kind == "complete-true-ar"
     assert true_pg.meta.order == 2
 
@@ -224,7 +223,7 @@ def test_complete_periodogram_kinds_and_meta():
 def test_complete_periodogram_is_complete_dft_times_conj_dft():
     ts = simulate_arma(builtin_models("m1", 0.7), 16, 3)
     g = FrequencyGrid.fourier(16)
-    model = ArModel([0.0, -0.49], 1.0)
+    model = ArmaModel([0.0, -0.49], [], 1.0)
     pg = complete_periodogram(ts, Explicit(model), g)
     J = dft(ts, g)
     Jhat = predictive_dft(ts, Explicit(model), g)
@@ -234,7 +233,7 @@ def test_complete_periodogram_is_complete_dft_times_conj_dft():
 def test_taper_applies_to_conjugated_factor_only():
     ts = simulate_arma(builtin_models("m1", 0.7), 20, 13)
     g = FrequencyGrid.fourier(20)
-    model = ArModel([0.0, -0.49], 1.0)
+    model = ArmaModel([0.0, -0.49], [], 1.0)
     t = tukey_taper(20, 2)
     pg = complete_periodogram(ts, Explicit(model), g, taper=t)
     J = dft(ts, g)
@@ -291,14 +290,13 @@ def test_complete_true_mean_matches_density_within_mc_error():
     """Sample mean over replications sits within 3 MC standard errors of f
     at every Fourier frequency (fixed seed family)."""
     model = builtin_models("m1", 0.9)
-    ar = model.pure_ar()
     n, B = 20, 5000
     g = FrequencyGrid.fourier(n)
     f = model.density(g.frequencies)
     acc = np.zeros((B, n))
     for b in range(B):
         ts = simulate_arma(model, n, 1_000_000 + b)
-        acc[b] = complete_periodogram(ts, Explicit(ar), g).values.real
+        acc[b] = complete_periodogram(ts, Explicit(model), g).values.real
     mean = acc.mean(axis=0)
     se = acc.std(axis=0, ddof=1) / np.sqrt(B)
     assert np.all(np.abs(mean - f) <= 3 * se)
@@ -324,7 +322,7 @@ def _correction_case(draw):
         grid = FrequencyGrid.explicit(sorted(w))
     x = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(n)
     pad = draw(st.integers(0, 2 * n))
-    return ArModel(a, 1.0), TimeSeries(x), grid, pad
+    return ArmaModel(a, [], 1.0), TimeSeries(x), grid, pad
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -334,15 +332,15 @@ def test_correction_paths_agree(case):
     vector = predictive_dft(ts, Explicit(model), grid)
     tol = 1e-10 * max(1.0, float(np.max(np.abs(vector))))
     matrix = ts.values @ predictive_dft_matrix(model, ts.n, grid)
-    padded = np.concatenate((model.coeffs, np.zeros(pad)))
+    padded = np.concatenate((model.ar, np.zeros(pad)))
     truncated = predictive_dft(ts, TruncatedInfinite(padded), grid)
     np.testing.assert_allclose(matrix, vector, rtol=0.0, atol=tol)
     np.testing.assert_allclose(truncated, vector, rtol=0.0, atol=tol)
-    radius = np.max(np.abs(np.roots(np.concatenate(([1.0], -model.coeffs)))))
+    radius = np.max(np.abs(np.roots(np.concatenate(([1.0], -model.ar)))))
     if ts.n <= 8 and radius <= 0.9:
         # slow-mixing models need a longer horizon: the tail decays like radius**h
         horizon = max(200, math.ceil(math.log(1e-13) / math.log(max(radius, 0.5))))
-        cov = arma_expand(ArmaModel(model.coeffs, [], 1.0), M=ts.n + 2 * horizon).autocov
+        cov = arma_expand(model, M=ts.n + 2 * horizon).autocov
         brute = predictive_dft_bruteforce(ts, cov, grid, horizon=horizon)
         np.testing.assert_allclose(vector, brute, rtol=0.0, atol=1e-8 * max(1.0, float(np.max(np.abs(brute)))))
 
@@ -382,7 +380,7 @@ def test_correction_transfer_polynomial_matches_direct_sum(data):
 
     assert not np.any(complete._correction_rows(x, a[:, :0], grid))
     with pytest.raises(NumericalError):
-        complete_periodogram(TimeSeries(x[0]), Explicit(ArModel([1 - 1e-9], 1.0)), FrequencyGrid.fourier(n))
+        complete_periodogram(TimeSeries(x[0]), Explicit(ArmaModel([1 - 1e-9], [], 1.0)), FrequencyGrid.fourier(n))
 
 
 def test_single_estimate_takes_only_the_dfts_it_reads():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predspec import (
-    ArModel,
+    ArmaModel,
     AutoAIC,
     CovarianceSequence,
     DomainError,
@@ -322,7 +322,7 @@ _GRIDS = {
         (lambda g: yule_walker_fit(_HUGE, 2), "sample autocovariances overflow"),
         (lambda g: dft(_HUGE, g), "DFT overflows"),
         (lambda g: dft(_HUGE, g, tukey_taper(16, 2)), "DFT overflows"),
-        (lambda g: predictive_dft(_HUGE, Explicit(ArModel([0.9], 1.0)), g), "predictive DFT overflows"),
+        (lambda g: predictive_dft(_HUGE, Explicit(ArmaModel([0.9], [], 1.0)), g), "predictive DFT overflows"),
         (lambda g: predictive_dft(_HUGE, TruncatedInfinite([0.9, 0.0, 0.0]), g), "predictive DFT overflows"),
         (lambda g: predictive_dft(_HUGE, AutoAIC(), g), "sample autocovariances overflow"),
         (lambda g: predictive_dft(_HUGE, FixedOrder(1), g), "sample autocovariances overflow"),

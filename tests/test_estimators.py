@@ -3,7 +3,7 @@ import pytest
 
 from predspec import (
     ESTIMATOR_KINDS,
-    ArModel,
+    ArmaModel,
     AutoAIC,
     DomainError,
     EstimatorSpec,
@@ -21,7 +21,7 @@ from predspec import (
 
 
 def test_estimator_spec_validation():
-    truth = Explicit(ArModel([0.0, -0.81], 1.0))
+    truth = Explicit(ArmaModel([0.0, -0.81], [], 1.0))
     for bad in (
         lambda: EstimatorSpec("bogus"),
         lambda: EstimatorSpec("regular", taper_d=3),
@@ -35,6 +35,12 @@ def test_estimator_spec_validation():
         lambda: EstimatorSpec("complete", source=[]),
         lambda: EstimatorSpec("complete", source=0),
         lambda: EstimatorSpec("tapered-complete", source=""),
+        # a rise length is checked when the spec is built, not when it is run
+        lambda: EstimatorSpec("tapered", taper_d="3"),
+        lambda: EstimatorSpec("tapered", taper_d=0),
+        lambda: EstimatorSpec("tapered", taper_d=2.5),
+        lambda: EstimatorSpec("tapered", taper_d=True),
+        lambda: EstimatorSpec("tapered-complete", taper_d=-1),
     ):
         with pytest.raises(DomainError):
             bad()
@@ -53,7 +59,7 @@ def test_estimator_spec_validation():
 
 def test_evaluate_estimator_matches_direct_calls():
     model = builtin_models("m1", 0.9)
-    truth = Explicit(model.pure_ar())
+    truth = Explicit(model)
     ts = simulate_arma(model, 30, 4)
     default_taper = tukey_taper(30, default_rise(30))
     for grid in (FrequencyGrid.fourier(30), FrequencyGrid.uniform(64)):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predspec import (
-    ArModel,
     ArmaModel,
     DomainError,
     EstimatorSpec,
@@ -147,7 +146,7 @@ def test_spectral_mean_riemann_recovers_autocov():
     vals = {}
     for pts in (500, 2000):
         grid = FrequencyGrid.uniform(pts)
-        pg = complete_periodogram(ts, Explicit(model.pure_ar()), grid)
+        pg = complete_periodogram(ts, Explicit(model), grid)
         cfg = SpectralMeanConfig(points=pts)
         vals[pts] = spectral_mean(lambda w: np.cos(2 * w), pg, cfg).real
     assert vals[500] == pytest.approx(vals[2000], rel=1e-3)
@@ -225,7 +224,7 @@ def test_acf_advises_threshold_when_variance_nonpositive():
     # input; the error message points at the fix
     ts = TimeSeries([4.0, -0.5, 0.25, -0.125, 4.0, -2.0, 8.0, 1.0])
     cfg = SpectralMeanConfig(points=500)
-    spec = EstimatorSpec("complete-true", source=Explicit(ArModel([-0.95], 1.0)))
+    spec = EstimatorSpec("complete-true", source=Explicit(ArmaModel([-0.95], [], 1.0)))
     try:
         acf_estimate(ts, 3, spec, cfg)
     except NumericalError as err:
@@ -308,7 +307,7 @@ _FOURIER = SpectralMeanConfig(points=None)
         (
             lambda: acf_estimate(
                 TimeSeries([0.24, 0.91, -1.15, -0.11, -1.94, 1.59]), 1,
-                EstimatorSpec("complete-true", source=Explicit(ArModel([0.99], 1.0))), _FOURIER,
+                EstimatorSpec("complete-true", source=Explicit(ArmaModel([0.99], [], 1.0))), _FOURIER,
             ),
             NumericalError,
             "set cfg.threshold",
@@ -321,7 +320,7 @@ _FOURIER = SpectralMeanConfig(points=None)
         (
             lambda: whittle_fit(
                 TimeSeries([0.03, 0.06, -2.8, -0.54, -0.05, -4.0]), 3,
-                EstimatorSpec("complete-true", source=Explicit(ArModel([0.9], 1.0))), [0.0] * 3, _FOURIER,
+                EstimatorSpec("complete-true", source=Explicit(ArmaModel([0.9], [], 1.0))), [0.0] * 3, _FOURIER,
             ),
             NumericalError,
             "not positive definite.*set cfg.threshold",
@@ -477,7 +476,7 @@ def test_whittle_m2_ar3_is_causal():
     for seed in range(5):
         ts = simulate_arma(builtin_models("m2"), 600, seed).center()
         res = whittle_fit(ts, 3, EstimatorSpec("complete"), [0.1] * 3, cfg)
-        ArModel(res.theta, 1.0)  # DomainError unless causal
+        ArmaModel(res.theta, [], 1.0)  # DomainError unless causal
         assert res.converged and res.theta[0] > 1.9
 
 
@@ -486,7 +485,7 @@ def test_whittle_high_orders_converge():
     cfg = SpectralMeanConfig(threshold=1e-3)
     for p in (8, 10):
         res = whittle_fit(ts, p, EstimatorSpec("regular"), [0.0] * p, cfg)
-        ArModel(res.theta, 1.0)
+        ArmaModel(res.theta, [], 1.0)
         assert res.converged and res.value < 0.95
 
 
@@ -498,7 +497,7 @@ def test_whittle_boundary_infimum_is_not_converged():
     for lam, p, evals in cases:
         ts = simulate_arma(builtin_models("m1", lam), 20, 8).center()
         res = whittle_fit(ts, p, EstimatorSpec("regular"), [0.0] * p, _FOURIER)
-        ArModel(res.theta, 1.0)
+        ArmaModel(res.theta, [], 1.0)
         assert not res.converged and len(res.trace) == evals
         assert res.value < res.trace[0][1]
 
@@ -526,7 +525,7 @@ def test_whittle_fit_is_causal(walk, n, p, seed, mode, kind):
         res = whittle_fit(ts, p, EstimatorSpec(kind), [0.0] * p, cfg)
     except NumericalError:
         return
-    ArModel(res.theta, 1.0)
+    ArmaModel(res.theta, [], 1.0)
     assert res.value == res.trace[-1][1]
 
 
@@ -542,8 +541,8 @@ def test_ar_family_unit_variance_log_mean_vanishes():
 def test_quadratic_form_identity_small():
     """Flat-case preview of the acceptance identity: the Fourier-sum spectral
     mean of I_complete/f_theta equals the Toeplitz quadratic form, pathwise."""
-    model = ArModel([0.5, -0.3], 1.0)
-    cov = arma_expand(_arma_of(model), M=60).autocov
+    model = ArmaModel([0.5, -0.3], [], 1.0)
+    cov = arma_expand(model, M=60).autocov
     n = 16
     rng = np.random.default_rng(5)
     ts = TimeSeries(rng.standard_normal(n))
@@ -554,9 +553,3 @@ def test_quadratic_form_identity_small():
     Gamma = cov.toeplitz(n)
     rhs = ts.values @ np.linalg.solve(Gamma, ts.values) / n
     assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-def _arma_of(model):
-    from predspec import ArmaModel
-
-    return ArmaModel(model.coeffs, [], model.sigma2)

@@ -4,7 +4,6 @@ import scipy.linalg
 
 from predspec import (
     ArmaModel,
-    ArModel,
     CovarianceSequence,
     DomainError,
     Explicit,
@@ -145,7 +144,7 @@ def test_bruteforce_matches_closed_form():
     ts = simulate_arma(model, n, 55)
     g = FrequencyGrid.explicit(np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
     brute = predictive_dft_bruteforce(ts, cov, g, horizon=200)
-    closed = predictive_dft(ts, Explicit(model.pure_ar()), g)
+    closed = predictive_dft(ts, Explicit(model), g)
     assert np.max(np.abs(brute - closed)) < 1e-8
 
 

@@ -60,7 +60,7 @@ def test_hermitian_symmetry_250_cases():
         if case % 5 == 0:
             p = int(rng.integers(1, 4))
             model = ArmaModel(_reflection_ar(rng, p), [], 1.0)
-            pg = complete_periodogram(ts, Explicit(model.pure_ar()), g)
+            pg = complete_periodogram(ts, Explicit(model), g)
             assert pg.values[1] == pytest.approx(np.conj(pg.values[0]), rel=1e-8), case
 
 
@@ -101,7 +101,7 @@ def test_levinson_vs_dense_150_cases():
         fit = levinson_durbin(cov, p)
         R = scipy.linalg.toeplitz(cov.lags[:p])
         direct = np.linalg.solve(R, cov.lags[1 : p + 1])
-        np.testing.assert_allclose(fit.coeffs, direct, rtol=1e-8, atol=1e-9,
+        np.testing.assert_allclose(fit.ar, direct, rtol=1e-8, atol=1e-9,
                                    err_msg=f"case {case}")
 
 
@@ -115,7 +115,7 @@ def test_aic_determinism_100_cases():
         assert a.chosen_p == b.chosen_p, case
         assert a.k_n == b.k_n, case
         np.testing.assert_array_equal(a.aic_values, b.aic_values)
-        np.testing.assert_array_equal(a.model.coeffs, b.model.coeffs)
+        np.testing.assert_array_equal(a.model.ar, b.model.ar)
 
 
 def test_sample_autocov_psd_50_cases():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from predspec import (
     ESTIMATOR_KINDS,
     ArmaModel,
-    ArModel,
     AutoAIC,
     EstimatorSpec,
     ExperimentSpec,
@@ -78,7 +77,7 @@ def test_block_rows_match_single_series(case):
     specs = [
         EstimatorSpec("regular"),
         EstimatorSpec("tapered"),
-        EstimatorSpec("complete-true", source=Explicit(ArModel(a, 1.0))),
+        EstimatorSpec("complete-true", source=Explicit(ArmaModel(a, [], 1.0))),
         EstimatorSpec("complete"),
         EstimatorSpec("tapered-complete", taper_d=2),
         EstimatorSpec("complete", source=FixedOrder(2)),
@@ -93,7 +92,7 @@ def test_block_rows_match_single_series_on_large_blocks():
     in place; its rows still equal the single-series ones bit for bit."""
     a = np.array([0.5, -0.3])
     x = _simulate_rows(ArmaModel(a, [], 1.0), 50, range(40))
-    specs = [EstimatorSpec("complete-true", source=Explicit(ArModel(a, 1.0))), EstimatorSpec("tapered-complete")]
+    specs = [EstimatorSpec("complete-true", source=Explicit(ArmaModel(a, [], 1.0))), EstimatorSpec("tapered-complete")]
     _assert_block_matches_single(specs, x, FrequencyGrid.uniform(500))
 
 
@@ -101,7 +100,7 @@ def test_acf_block_rows_match_acf_estimate():
     """The runner's autocorrelation rows equal `acf_estimate` on each series
     bit for bit, in a block of 32 rows as in a block of one."""
     model = builtin_models("m1", 0.9)
-    truth = Explicit(model.pure_ar())
+    truth = Explicit(model)
     specs = (EstimatorSpec("regular"), EstimatorSpec("tapered"), EstimatorSpec("complete-true"),
              EstimatorSpec("complete"), EstimatorSpec("tapered-complete"))
     spec = ExperimentSpec(model=model, n=20, replications=32, estimators=specs, seed=3, acf_lags=5)
@@ -123,8 +122,8 @@ def _spec_lists(draw, a):
     """1 to 6 specs of every kind, with repeated and distinct rise lengths,
     and with default, AIC, fixed-order and explicit sources; explicit models
     are drawn from one shared object, an equal copy of it and another model."""
-    truth = Explicit(ArModel(a, 1.0))
-    explicit = st.sampled_from([truth, Explicit(ArModel(a, 1.0)), Explicit(ArModel([0.5], 2.0))])
+    truth = Explicit(ArmaModel(a, [], 1.0))
+    explicit = st.sampled_from([truth, Explicit(ArmaModel(a, [], 1.0)), Explicit(ArmaModel([0.5], [], 2.0))])
     fitted = st.one_of(st.none(), st.just(AutoAIC(max_order=2)), st.builds(FixedOrder, st.integers(1, 3)),
                        explicit)
     specs = []
@@ -192,7 +191,7 @@ def test_aic_block_rows_equal_single_rows(case, random_walk, max_order):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_ar_block(kmax=0.999), st.booleans())
 def test_aic_fitted_rows_are_causal(case, random_walk):
-    """The runner fits AIC models per row without building an `ArModel`;
+    """The runner fits AIC models per row without building a model object;
     each fitted coefficient row must still pass its causality check."""
     _, x, _ = case
     if random_walk:
@@ -200,4 +199,4 @@ def test_aic_fitted_rows_are_causal(case, random_walk):
     orders, coeffs, sigma2, _ = _aic_rows(x)
     for p, a, s2 in zip(orders, coeffs, sigma2):
         assert not np.any(a[p:])
-        ArModel(a[:p], s2)  # raises DomainError for a root on or inside the unit circle
+        ArmaModel(a[:p], [], s2)  # raises DomainError for a root on or inside the unit circle

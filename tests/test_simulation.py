@@ -8,7 +8,6 @@ import pytest
 
 from predspec import (
     ArmaModel,
-    ArModel,
     AutoAIC,
     CovarianceSequence,
     DomainError,
@@ -112,7 +111,7 @@ def test_experiment_spec_validation():
         # complete-true always uses the generating model, so a source of the
         # caller's own would be ignored
         ExperimentSpec(model=m, n=20, replications=10, seed=1,
-                       estimators=(EstimatorSpec("complete-true", source=Explicit(ArModel([0.5], 1.0))),))
+                       estimators=(EstimatorSpec("complete-true", source=Explicit(ArmaModel([0.5], [], 1.0))),))
     with pytest.raises(DomainError):
         # smoothing and ACF mode are mutually exclusive
         ExperimentSpec(model=m, n=20, replications=10, estimators=est, seed=1,
@@ -166,7 +165,7 @@ _SPEC = dict(model=_M1, n=20, replications=10, estimators=(EstimatorSpec("regula
         lambda: run_experiment(ExperimentSpec(**_SPEC), threads=2.5),
         lambda: run_experiment(ExperimentSpec(**_SPEC), threads=True),
         lambda: run_experiment(ExperimentSpec(**_SPEC), threads="4"),
-        lambda: predictive_dft_matrix(ArModel([0.5], 1.0), 2.5, FrequencyGrid.fourier(4)),
+        lambda: predictive_dft_matrix(ArmaModel([0.5], [], 1.0), 2.5, FrequencyGrid.fourier(4)),
         lambda: finite_predictor_coeffs(_COV, 4.5, 0),
         lambda: finite_predictor_coeffs(_COV, 4, 0.5),
         lambda: predictive_dft_bruteforce(_TS, _COV, FrequencyGrid.fourier(20), horizon=2.5),
@@ -200,8 +199,8 @@ _PG = raw_periodogram(_TS, FrequencyGrid.fourier(20))
         lambda: threshold_real(_PG, True),
         lambda: acf_estimate(_TS, 2, EstimatorSpec("regular"), SpectralMeanConfig(threshold=[1e-3])),
         lambda: SpectralMeanConfig(threshold=-1.0),
-        lambda: ArModel([0.5], True),
-        lambda: ArModel([0.5], "x"),
+        lambda: ArmaModel([0.5], [], True),
+        lambda: ArmaModel([0.5], [], "x"),
         lambda: ArmaModel([0.5], [], [1.0]),
         lambda: Taper(np.ones(4), h1="x", h2=4.0),
         lambda: builtin_models("m1", "0.5"),
@@ -238,12 +237,12 @@ def test_non_finite_or_non_numeric_values_rejected(call):
 @pytest.mark.parametrize(
     "call, match",
     [
-        (lambda: Explicit(builtin_models("m1", 0.9)), r"needs an ArModel.*\.pure_ar\(\)"),
-        (lambda: simulate_arma(ArModel([0.5], 1.0), 10, 0), "must be an ArmaModel"),
-        (lambda: arma_expand(ArModel([0.5], 1.0)), "must be an ArmaModel"),
-        (lambda: ExperimentSpec(**{**_SPEC, "model": ArModel([0.5], 1.0)}), "must be an ArmaModel"),
+        (lambda: Explicit([0.5]), "must be an ArmaModel"),
+        (lambda: simulate_arma([0.5], 10, 0), "must be an ArmaModel"),
+        (lambda: arma_expand([0.5]), "must be an ArmaModel"),
+        (lambda: ExperimentSpec(**{**_SPEC, "model": [0.5]}), "must be an ArmaModel"),
     ],
-    ids=["explicit-arma", "simulate-ar", "expand-ar", "experiment-ar"],
+    ids=["explicit-ar", "simulate-ar", "expand-ar", "experiment-ar"],
 )
 def test_wrong_model_type_rejected(call, match):
     with pytest.raises(DomainError, match=match):
@@ -511,7 +510,7 @@ def test_experiment_true_density_double_scores_zero():
     assert rows[0].ibias == 0.0
 
 
-def test_experiment_complete_true_needs_pure_ar():
+def test_experiment_complete_true_needs_an_ar_model():
     spec = ExperimentSpec(
         model=builtin_models("m2"),
         n=20,

@@ -38,7 +38,7 @@ def _single_estimates(seed: int):
     m1, m2 = ps.builtin_models("m1", 0.9), ps.builtin_models("m2")
     specs = [ps.EstimatorSpec(kind) for kind in ps.ESTIMATOR_KINDS if kind != "complete-true"]
     specs += [
-        ps.EstimatorSpec("complete-true", source=ps.Explicit(m1.pure_ar())),
+        ps.EstimatorSpec("complete-true", source=ps.Explicit(m1)),
         ps.EstimatorSpec("complete", source=ps.FixedOrder(2)),
         ps.EstimatorSpec("tapered-complete", source=ps.TruncatedInfinite(ps.arma_expand(m2).ar_inf), taper_d=3),
     ]
