@@ -144,18 +144,14 @@ def _levinson_rows(c: np.ndarray, pmax: int):
 def levinson_durbin(cov: CovarianceSequence, p: int) -> ArmaModel:
     """Solve the order-p prediction equations from c(0..p) by the Levinson
     recursion; returns the fitted model with its innovation variance."""
-    if cov.max_lag < _integer(p, "order", 0):
-        raise DomainError(f"need lags 0..{p}, covariance holds 0..{cov.max_lag}")
-    coeffs, sigma2 = _levinson_rows(cov.lags[None], p)
+    coeffs, sigma2 = _levinson_rows(cov.upto(_integer(p, "order", 0))[None], p)
     return ArmaModel(coeffs[0, p, :p], [], float(sigma2[0, p]))
 
 
 def _yule_walker_rows(x: np.ndarray, p: int):
     """Levinson fits of orders 0..p to the sample autocovariances of each
     row of x (rows, n), assumed mean zero; see `_levinson_rows`."""
-    if _integer(p, "order", 0) >= x.shape[-1]:
-        raise DomainError("order must satisfy 0 <= p < n")
-    c = _autocov_rows(x, p)
+    c = _autocov_rows(x, _integer(p, "order", 0, below=x.shape[-1]))
     if (c[:, 0] <= 0.0).any():
         raise NumericalError("series is constant: zero sample variance")
     return _levinson_rows(c, p)
@@ -178,8 +174,8 @@ class OrderSelection:
 
     def __post_init__(self):
         vals = _vector(self, "aic_values", "criterion values")
-        if not 1 <= self.chosen_p <= self.k_n:
-            raise DomainError("selected order must lie in 1..k_n")
+        if not 1 <= self.chosen_p <= self.k_n or self.model.p != self.chosen_p:
+            raise DomainError("selected order must lie in 1..k_n and be the model's order")
         if vals.size != self.k_n:
             raise DomainError("need one criterion value per candidate order")
 
@@ -197,9 +193,7 @@ def _aic_rows(x: np.ndarray, max_order: int | None = None):
     if max_order is None:
         k_n = min(max(int(n**0.4), 1), n - 2)
     else:
-        k_n = _integer(max_order, "max_order", 1)
-        if k_n >= n - 1:
-            raise DomainError("max_order must satisfy 1 <= max_order <= n-2")
+        k_n = _integer(max_order, "max_order", 1, below=n - 1)
     coeffs, sigma2 = _yule_walker_rows(x, k_n)
 
     # The order-p residual at t (1-based) is v_p . w_t, with v_p = (1, -a_p)

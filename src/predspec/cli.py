@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import replace
@@ -69,10 +70,15 @@ def _write_columns(out: str | None, comment: str, columns: dict) -> None:
     names = list(columns)
     rows = len(next(iter(columns.values())))
     if out is not None and out.endswith(".json"):
-        cells = {k: [v if isinstance(v, str) else float(v) for v in vals] for k, vals in columns.items()}
+        # JSON has no NaN or infinity: a non-finite number (a standard error
+        # of one replication) is written as null
+        cells = {
+            k: [v if isinstance(v, str) else float(v) if math.isfinite(v) else None for v in vals]
+            for k, vals in columns.items()
+        }
         payload = {"command": comment, "columns": cells}
         with open(out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
         return
     lines = [f"# {comment}", ",".join(names)]

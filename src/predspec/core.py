@@ -59,9 +59,12 @@ def _vector(obj, attr: str, what: str, dtype=float, empty: bool = False) -> np.n
     return arr
 
 
-def _integer(value, name: str, least: int | None = None) -> int:
+def _integer(value, name: str, least: int | None = None, below: int | None = None) -> int:
     """`value` as an int, or DomainError when it is not an integer (e.g. 2.5,
-    2.0 or True) or is below `least`."""
+    2.0 or True), is below `least` or is not below `below`.
+
+    `below` is the one statement of an upper bound, such as an order or a
+    lag that must stay below the series length."""
     if not isinstance(value, bool):
         try:
             value = operator.index(value)
@@ -70,6 +73,8 @@ def _integer(value, name: str, least: int | None = None) -> int:
         else:
             if least is not None and value < least:
                 raise DomainError(f"{name} must be >= {least}, got {value}")
+            if below is not None and value >= below:
+                raise DomainError(f"{name} must be < {below}, got {value}")
             return value
     raise DomainError(f"{name} must be an integer, got {value!r}")
 
@@ -177,7 +182,8 @@ class CovarianceSequence:
     """Autocovariances c(0..L), model-derived or sampled.
 
     Any autocovariance sequence satisfies |c(k)| <= c(0), so c(0) = 0 forces
-    every lag to vanish.
+    every lag to vanish.  A reader that needs lags 0..L takes them from
+    `upto(L)`, which raises DomainError when the sequence is shorter.
     """
 
     lags: np.ndarray
@@ -193,13 +199,16 @@ class CovarianceSequence:
     def max_lag(self) -> int:
         return self.lags.size - 1
 
+    def upto(self, L: int) -> np.ndarray:
+        """c(0..L), or DomainError unless L is an integer >= 0 and the
+        sequence holds lags 0..L."""
+        if self.max_lag < _integer(L, "lag L", 0):
+            raise DomainError(f"covariance sequence holds lags 0..{self.max_lag}, need 0..{L}")
+        return self.lags[: L + 1]
+
     def toeplitz(self, n: int) -> np.ndarray:
-        """The n-by-n covariance matrix [c(i - j)] (needs max_lag >= n - 1)."""
-        if self.max_lag < _integer(n, "matrix dimension", 1) - 1:
-            raise DomainError(
-                f"covariance sequence holds lags 0..{self.max_lag}, need 0..{n - 1}"
-            )
-        return _toeplitz(self.lags, n)
+        """The n-by-n covariance matrix [c(i - j)] (needs lags 0..n-1)."""
+        return _toeplitz(self.upto(_integer(n, "matrix dimension", 1) - 1), n)
 
 
 def _toeplitz(c: np.ndarray, n: int) -> np.ndarray:
@@ -210,26 +219,31 @@ def _toeplitz(c: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Taper:
-    """Data-taper weights rescaled so they sum to n.
+    """A data taper, built from its shape h(t/n) for t = 1..n.
 
-    ``h1`` and ``h2`` are the first and second moments sum h(t/n)**q of the
-    un-rescaled shape.
+    ``weights`` are the shape rescaled by n / h1 so they sum to n, and ``h1``
+    and ``h2`` the first and second moments sum h(t/n)**q of the shape.  All
+    three are set from the shape, so they cannot disagree, and `weights` is
+    read-only.  The shape must be nonnegative with a positive, finite sum of
+    squares, which makes h1 positive and every derived value finite.
     """
 
-    weights: np.ndarray
-    h1: float
-    h2: float
+    shape: np.ndarray
     description: str = ""
+    weights: np.ndarray = field(init=False)
+    h1: float = field(init=False)
+    h2: float = field(init=False)
 
     def __post_init__(self):
-        h = _vector(self, "weights", "taper weights")
-        if np.any(h < 0.0):
-            raise DomainError("taper weights must be nonnegative")
-        n = h.size
-        if abs(float(h.sum()) - n) > 1e-9 * n:
-            raise DomainError("taper weights must sum to n")
-        _positive(self.h1, "taper moment h1")
-        _positive(self.h2, "taper moment h2")
+        shape = _vector(self, "shape", "taper shape")
+        h1, h2 = float(shape.sum()), float((shape**2).sum())
+        if np.any(shape < 0.0) or not 0.0 < h2 < math.inf:
+            raise DomainError("taper shape must be nonnegative with a positive, finite sum of squares")
+        weights = shape * (shape.size / h1)
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "h2", h2)
 
     @property
     def n(self) -> int:
@@ -240,20 +254,17 @@ def tukey_taper(n: int, d: int) -> Taper:
     """Cosine-bell taper rising over d points at each end, flat in between.
 
     Shape on the rise, t = 1..d: 0.5 * (1 - cos(pi * (t - 0.5) / d)); the top
-    d points mirror it; everything between is 1.  Weights are rescaled by
-    n / h1 so they sum to n; h1, h2 are moments of the raw shape.
+    d points mirror it; everything between is 1.  Only the shape is built
+    here; `Taper` derives the weights and moments from it.
     """
     n, d = _integer(n, "taper length", 1), _integer(d, "rise length d", 1)
     if 2 * d > n:
         raise DomainError("rise length d must satisfy 1 <= d <= n/2")
-    t = np.arange(1, n + 1, dtype=float)
     shape = np.ones(n)
-    rise = 0.5 * (1.0 - np.cos(np.pi * (t[:d] - 0.5) / d))
+    rise = 0.5 * (1.0 - np.cos(np.pi * (np.arange(d) + 0.5) / d))
     shape[:d] = rise
     shape[n - d:] = rise[::-1]
-    h1 = float(shape.sum())
-    h2 = float((shape**2).sum())
-    return Taper(shape * (n / h1), h1=h1, h2=h2, description=f"tukey(d={d})")
+    return Taper(shape, description=f"tukey(d={d})")
 
 
 @dataclass(frozen=True)
@@ -330,8 +341,7 @@ def sample_autocov(ts: TimeSeries, max_lag: int) -> CovarianceSequence:
     c(k) = n**-1 * sum_{t=1..n-k} x[t] * x[t+k] for k = 0..max_lag.  The
     series is used as given; remove the mean first if it is not known to be 0.
     """
-    if _integer(max_lag, "max_lag", 0) >= ts.n:
-        raise DomainError("lag exceeds sample")
+    max_lag = _integer(max_lag, "max_lag", 0, below=ts.n)
     return CovarianceSequence(_autocov_rows(ts.values[None], max_lag)[0])
 
 

@@ -175,8 +175,7 @@ def acf_estimate(
     Riemann rule approximates the plain biased ones.  Thresholding (set it
     in `cfg` for completed kinds) guarantees a positive c(0).
     """
-    if _integer(lags, "lag count", 0) >= ts.n:
-        raise DomainError("lag range must stay below the series length")
+    lags = _integer(lags, "lag count", 0, below=ts.n)
     _, vals, table = _spectral_values(ts, lags, estimator, cfg)
     autocov = _cosine_moments(vals, table)
     if autocov[0] <= 0.0:
@@ -235,7 +234,8 @@ def whittle_fit(
 ) -> WhittleResult:
     """Minimize the spectral-divergence objective over the causal AR(p) region.
 
-    p is the AR order, at least 1 and below the series length.
+    p is the AR order: `ar_family` checks it is an integer >= 1, and an
+    order of n or more for a length-n series raises DomainError.
     K(theta) = quadrature mean of estimate/f_theta + quadrature mean of
     log f_theta (the latter approximating (2*pi)**-1 * integral log f_theta,
     which is 0 for causal theta), the quadrature of `cfg` (default: 500
@@ -259,9 +259,7 @@ def whittle_fit(
     """
     if cfg is None:
         cfg = SpectralMeanConfig()
-    p = ar_family(p)
-    if p >= ts.n:
-        raise DomainError("the family order must stay below the series length")
+    p = _integer(ar_family(p), "family order", below=ts.n)
     if init is not None:
         try:
             start = np.asarray(init, dtype=float)

@@ -50,13 +50,9 @@ def finite_predictor_coeffs(cov: CovarianceSequence, n: int, tau: int) -> np.nda
     n, tau = _integer(n, "window length", 1), _integer(tau, "prediction target tau")
     if 1 <= tau <= n:
         raise DomainError("prediction target must lie outside the observed window 1..n")
-    needed = max(abs(tau - 1), abs(tau - n))
-    if cov.max_lag < needed:
-        raise DomainError(
-            f"covariance sequence holds lags 0..{cov.max_lag}, need 0..{needed}"
-        )
+    c = cov.upto(max(abs(tau - 1), abs(tau - n)))
     _, factor = _toeplitz_cholesky(cov, n)
-    rhs = cov.lags[np.abs(tau - np.arange(1, n + 1))]
+    rhs = c[np.abs(tau - np.arange(1, n + 1))]
     return _cholesky_solve(factor, rhs)
 
 
@@ -79,15 +75,10 @@ def predictive_dft_bruteforce(
     """
     _integer(horizon, "horizon", 1)
     n = ts.n
-    needed = n + 2 * horizon - 1
-    if cov.max_lag < needed:
-        raise DomainError(
-            f"covariance sequence holds lags 0..{cov.max_lag}, need 0..{needed}"
-        )
+    c = cov.upto(n + 2 * horizon - 1)
     _, factor = _toeplitz_cholesky(cov, n)
     x = ts.values
     w = grid.frequencies
-    c = cov.lags
 
     def one_sided(taus: np.ndarray) -> np.ndarray:
         # lag matrix: |tau - t| for t = 1..n, one column per tau

@@ -39,7 +39,10 @@ __all__ = [
     "run_experiment",
 ]
 
-_MASK64 = (1 << 64) - 1
+# Seeds are the integers in [0, 2**64): SplitMix64 works modulo 2**64, so a
+# wider range would give two seeds one stream.
+_SEEDS = 1 << 64
+_MASK64 = _SEEDS - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -50,10 +53,11 @@ def split_seed(seed: int, index: int) -> int:
 
     SplitMix64 finalizer over ``seed + (index + 1) * golden_gamma``; the
     constants are the standard ones, fixed here so any reimplementation can
-    reproduce the same stream assignment.
+    reproduce the same stream assignment.  The seed must lie in [0, 2**64),
+    the range on which ``seed -> split_seed(seed, index)`` is one-to-one.
     """
     index = _integer(index, "replication index", 0)
-    z = (_integer(seed, "seed") + (index + 1) * _GOLDEN) & _MASK64
+    z = (_integer(seed, "seed", 0, below=_SEEDS) + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
@@ -115,7 +119,8 @@ class ExperimentSpec:
     estimates; the raw kinds are never thresholded.  Replications use the
     process mean (zero) rather than re-centering each draw, matching the
     reference tables.  A "complete-true" estimator always uses the
-    generating model, so it may not carry a source of its own.
+    generating model, so it may not carry a source of its own.  `seed` lies
+    in [0, 2**64), as in `split_seed`, and `acf_lags` below n.
     """
 
     model: ArmaModel
@@ -134,9 +139,10 @@ class ExperimentSpec:
             object.__setattr__(self, "estimators", tuple(self.estimators))
         except TypeError:
             raise DomainError("estimators must be a sequence of EstimatorSpec instances") from None
-        for name, least in (("n", 4), ("replications", 1), ("seed", 0), ("acf_lags", 1)):
+        object.__setattr__(self, "n", _integer(self.n, "n", 4))
+        for name, least, below in (("replications", 1, None), ("seed", 0, _SEEDS), ("acf_lags", 1, self.n)):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, _integer(getattr(self, name), name, least))
+                object.__setattr__(self, name, _integer(getattr(self, name), name, least, below))
         # a midpoint cell count; None, which names the Fourier sum, is not one
         points = SpectralMeanConfig(self.acf_points).points
         object.__setattr__(self, "acf_points", _integer(points, "Riemann cell count"))
@@ -158,8 +164,6 @@ class ExperimentSpec:
             object.__setattr__(self, "smoothing", (kind, window.m))
             if self.acf_lags is not None:
                 raise DomainError("smoothing and ACF modes are mutually exclusive")
-        if self.acf_lags is not None and self.acf_lags >= self.n:
-            raise DomainError("acf_lags must satisfy 1 <= lags < n")
 
 
 @dataclass(frozen=True, eq=False)

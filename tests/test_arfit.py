@@ -109,12 +109,14 @@ def test_levinson_rejects_non_pd():
     "call, match",
     [
         (lambda: ArmaModel([], [2.0], 1.0), "MA polynomial root strictly inside"),
-        (lambda: levinson_durbin(CovarianceSequence([1.0, 0.5]), 2), r"need lags 0..2, covariance holds 0..1"),
-        (lambda: yule_walker_fit(TimeSeries([1.0, -2.0, 0.5]), 3), r"0 <= p < n"),
+        (lambda: levinson_durbin(CovarianceSequence([1.0, 0.5]), 2), r"holds lags 0..1, need 0..2"),
+        (lambda: yule_walker_fit(TimeSeries([1.0, -2.0, 0.5]), 3), r"order must be < 3, got 3"),
         (lambda: OrderSelection(0, 2, np.ones(2), ArmaModel([], [], 1.0)), r"selected order must lie in 1..k_n"),
+        (lambda: OrderSelection(2, 3, np.ones(3), ArmaModel([0.5], [], 1.0)), "be the model's order"),
         (lambda: OrderSelection(1, 2, np.ones(3), ArmaModel([0.5], [], 1.0)), "one criterion value per candidate"),
     ],
-    ids=["ma-root-inside", "levinson-lags", "yule-walker-order", "selection-order", "selection-values"],
+    ids=["ma-root-inside", "levinson-lags", "yule-walker-order", "selection-order", "selection-model-order",
+         "selection-values"],
 )
 def test_guard_raises(call, match):
     with pytest.raises(DomainError, match=match):

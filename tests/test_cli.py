@@ -275,6 +275,21 @@ def test_experiment_command(tmp_path):
     assert all(isinstance(v, float) for k in list(cols)[1:] for v in cols[k])
 
 
+def test_experiment_json_is_strict_json_with_one_replication(tmp_path):
+    """One replication has no standard errors; JSON writes them as null, not NaN."""
+    cfg = tmp_path / "b1.cfg"
+    cfg.write_text("model = m1\nlambda = 0.9\nn = 16\nB = 1\nseed = 2\nestimators = regular\n")
+    out = tmp_path / "t.json"
+    assert main(["experiment", str(cfg), "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    cols = json.loads(out.read_text(), parse_constant=reject)["columns"]
+    assert cols["imse_se"] == [None] and cols["ibias_se"] == [None]
+    assert all(isinstance(v, float) for v in cols["imse"] + cols["ibias"])
+
+
 def test_experiment_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("model = m1\nlambda = 0.9\nn = 16\nB = 10\nseed = 1\n"

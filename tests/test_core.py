@@ -131,7 +131,12 @@ def test_sample_autocov_toeplitz_psd():
 
 
 def test_covariance_sequence_validation():
-    CovarianceSequence([1.0, 0.5])
+    cov = CovarianceSequence([1.0, 0.5])
+    # upto(L) is c(0..L), and the one place a reader learns the lags fall short
+    assert cov.upto(0).tolist() == [1.0] and cov.upto(1).tolist() == [1.0, 0.5]
+    for L, match in ((2, "holds lags 0..1, need 0..2"), (-1, "lag L must be >= 0")):
+        with pytest.raises(DomainError, match=match):
+            cov.upto(L)
     # every autocovariance sequence, sampled or model-derived, has |c(k)| <= c(0)
     for lags in ([1.0, 1.5], [1.0, 0.5, -1.5], [0.0, 0.1], [-1.0, 0.0]):
         with pytest.raises(DomainError):
@@ -236,14 +241,19 @@ def test_tukey_taper_symmetry_and_bounds():
         t = tukey_taper(n, d)
         np.testing.assert_allclose(t.weights, t.weights[::-1], atol=1e-14)
         assert np.sum(t.weights) == pytest.approx(n)
+        # a Taper built from the same shape is the same taper, bit for bit
+        same = Taper(t.shape)
+        assert same.weights.tobytes() == t.weights.tobytes() and (same.h1, same.h2) == (t.h1, t.h2)
+        assert not t.weights.flags.writeable
     with pytest.raises(DomainError):
         tukey_taper(10, 0)
     with pytest.raises(DomainError):
         tukey_taper(10, 6)  # 2d > n
     with pytest.raises(DomainError, match="must be nonnegative"):
-        Taper(np.array([-1.0, 3.0]), h1=1.0, h2=1.0)
-    with pytest.raises(DomainError, match="must sum to n"):
-        Taper(np.full(4, 2.0), h1=1.0, h2=1.0)
+        Taper(np.array([-1.0, 3.0]))
+    for shape in (np.zeros(4), np.array([1e-200, 0.0])):  # the second's squares underflow to 0
+        with pytest.raises(DomainError, match="positive, finite sum of squares"):
+            Taper(shape)
     with pytest.raises(DomainError, match="taper length does not match"):
         dft(TimeSeries(np.ones(10)), FrequencyGrid.fourier(10), tukey_taper(12, 2))
 
@@ -252,7 +262,7 @@ def test_all_ones_taper_is_identity_for_dft():
     rng = np.random.default_rng(3)
     ts = TimeSeries(rng.standard_normal(12))
     g = FrequencyGrid.fourier(12)
-    np.testing.assert_allclose(dft(ts, g, Taper(np.ones(12), h1=12.0, h2=12.0)), dft(ts, g), rtol=1e-14)
+    np.testing.assert_allclose(dft(ts, g, Taper(np.ones(12))), dft(ts, g), rtol=1e-14)
 
 
 def test_raw_periodogram_known_values():
@@ -285,6 +295,10 @@ def test_tapered_periodogram_uses_raw_shape():
     expect = np.abs(np.sum(raw * x * np.exp(1j * 0.9 * np.arange(1, 11)))) ** 2 / t.h2
     assert pg.kind == "tapered"
     assert pg.values.real[0] == pytest.approx(expect, rel=1e-12)
+    # the periodogram depends on the shape only up to scale
+    for c in (0.5, 3.0):
+        scaled = raw_periodogram(TimeSeries(x), g, Taper(c * t.shape))
+        np.testing.assert_allclose(scaled.values, pg.values, rtol=1e-14)
 
 
 def test_periodogram_estimate_kind_validation():

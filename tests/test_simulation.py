@@ -19,7 +19,6 @@ from predspec import (
     PeriodogramEstimate,
     PgMeta,
     SpectralMeanConfig,
-    Taper,
     TimeSeries,
     acf_estimate,
     aic_select,
@@ -58,6 +57,12 @@ def test_split_seed_distinct_and_bounded():
     assert all(0 <= s < 2**64 for s in seeds)
     with pytest.raises(DomainError):
         split_seed(1, -1)
+    # seeds are [0, 2**64): split_seed works modulo 2**64, so a seed outside
+    # would share its streams with one inside
+    assert 0 <= split_seed(2**64 - 1, 0) < 2**64
+    for seed in (-1, 2**64, 2**64 + 1):
+        with pytest.raises(DomainError, match="seed must be"):
+            split_seed(seed, 0)
 
 
 def test_simulate_deterministic():
@@ -172,6 +177,7 @@ _SPEC = dict(model=_M1, n=20, replications=10, estimators=(EstimatorSpec("regula
         lambda: fejer_expected_periodogram(_M1.density, 2.5, 1.0),
         lambda: fejer_expected_periodogram(_M1.density, 20, 1.0, quadrature_points=4096.0),
         lambda: _COV.toeplitz(2.5),
+        lambda: _COV.upto(2.0),
     ],
     ids=["window-m", "window-m-float64", "smoothing-m", "seed", "n", "replications",
          "acf-lags", "acf-points", "simulate-seed", "simulate-n", "split-seed", "split-index",
@@ -181,7 +187,7 @@ _SPEC = dict(model=_M1, n=20, replications=10, estimators=(EstimatorSpec("regula
          "acf-points-none", "whittle-order", "whittle-init-str", "threads-float", "threads-bool",
          "threads-str",
          "dft-matrix-n", "predictor-n", "predictor-tau", "bruteforce-horizon", "fejer-n",
-         "fejer-points", "toeplitz-n"],
+         "fejer-points", "toeplitz-n", "upto-lag"],
 )
 def test_non_integer_parameters_rejected(call):
     with pytest.raises(DomainError, match="must be an integer|must be a sequence of numbers"):
@@ -202,13 +208,12 @@ _PG = raw_periodogram(_TS, FrequencyGrid.fourier(20))
         lambda: ArmaModel([0.5], [], True),
         lambda: ArmaModel([0.5], [], "x"),
         lambda: ArmaModel([0.5], [], [1.0]),
-        lambda: Taper(np.ones(4), h1="x", h2=4.0),
         lambda: builtin_models("m1", "0.5"),
         lambda: PeriodogramEstimate(_PG.grid, _PG.values, "thresholded-real", PgMeta(threshold="a")),
     ],
     ids=["threshold-str", "threshold-list", "threshold-bool", "mean-config-threshold-list",
          "mean-config-threshold-negative", "ar-sigma2-bool", "ar-sigma2-str", "arma-sigma2-list",
-         "taper-h1-str", "m1-lambda-str", "recorded-threshold-str"],
+         "m1-lambda-str", "recorded-threshold-str"],
 )
 def test_non_positive_numbers_rejected(call):
     with pytest.raises(DomainError, match="must be a positive finite number"):
@@ -267,15 +272,44 @@ def test_wrong_model_type_rejected(call, match):
         lambda: {"estimators": (EstimatorSpec("complete", source=FixedOrder(2.0)),)},
         lambda: {"estimators": (EstimatorSpec("complete", source=AutoAIC(max_order="x")),)},
         lambda: {"estimators": (EstimatorSpec("complete", source=AutoAIC(max_order=0)),)},
+        {"seed": -1},
+        {"seed": 2**64},
+        {"acf_lags": 20},
     ],
     ids=["model-str", "smoothing-single", "smoothing-triple", "smoothing-int", "threshold-str",
          "threshold-bool", "estimators-single-spec", "estimators-kind-names",
          "fixed-order-negative", "fixed-order-bool", "fixed-order-float", "max-order-str",
-         "max-order-zero"],
+         "max-order-zero", "seed-negative", "seed-2**64", "acf-lags-n"],
 )
 def test_malformed_experiment_spec_rejected(changes):
     with pytest.raises(DomainError):
         ExperimentSpec(**{**_SPEC, **(changes() if callable(changes) else changes)})
+
+
+_NOISE = TimeSeries(np.random.default_rng(5).standard_normal(8))
+
+
+# Each upper bound is stated once, by `_integer(..., below=)`: one less passes
+# and the bound itself raises, at every site that takes one.
+@pytest.mark.parametrize(
+    "call, below, name",
+    [
+        (lambda v: sample_autocov(_NOISE, v), 8, "max_lag"),
+        (lambda v: yule_walker_fit(_NOISE, v), 8, "order"),
+        (lambda v: aic_select(_NOISE, max_order=v), 7, "max_order"),
+        (lambda v: acf_estimate(_NOISE, v, EstimatorSpec("regular"), SpectralMeanConfig()), 8, "lag count"),
+        (lambda v: whittle_fit(_NOISE, v, EstimatorSpec("regular")), 8, "family order"),
+        (lambda v: ExperimentSpec(**{**_SPEC, "acf_lags": v}), 20, "acf_lags"),
+        (lambda v: ExperimentSpec(**{**_SPEC, "seed": v}), 2**64, "seed"),
+        (lambda v: split_seed(v, 0), 2**64, "seed"),
+    ],
+    ids=["autocov-lag", "yule-walker-order", "aic-max-order", "acf-lags", "whittle-order",
+         "experiment-acf-lags", "experiment-seed", "split-seed"],
+)
+def test_upper_bounds_admit_one_less(call, below, name):
+    call(below - 1)
+    with pytest.raises(DomainError, match=f"{name} must be < {below}, got {below}"):
+        call(below)
 
 
 def test_integer_like_parameters_accepted():
