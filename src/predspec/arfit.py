@@ -141,6 +141,25 @@ def _levinson_rows(c: np.ndarray, pmax: int):
     return coeffs, sigma2
 
 
+def _step_up(kappa: np.ndarray):
+    """Levinson's step-up map from reflection coefficients kappa (p,) to AR
+    coefficients: (theta, d theta / d kappa as a (p, p) Jacobian).
+
+    Each order is the recursion step of `_levinson_rows`, so the step-up of
+    its diagonal coeffs[r, m, m-1], m = 1..p, is coeffs[r, p] bit for bit.
+    """
+    p = kappa.size
+    theta = np.zeros(p)
+    jac = np.zeros((p, p))
+    for m, k in enumerate(kappa):
+        jac[:m, m] = -theta[:m][::-1]
+        jac[:m, :m] -= k * jac[:m, :m][::-1]
+        theta[:m] -= k * theta[:m][::-1]
+        theta[m] = k
+        jac[m, m] = 1.0
+    return theta, jac
+
+
 def levinson_durbin(cov: CovarianceSequence, p: int) -> ArmaModel:
     """Solve the order-p prediction equations from c(0..p) by the Levinson
     recursion; returns the fitted model with its innovation variance."""

@@ -26,6 +26,7 @@ from .estimators import ESTIMATOR_KINDS, EstimatorSpec, evaluate_estimator
 from .exceptions import DomainError, NumericalError
 from .integrated import (
     SpectralMeanConfig,
+    _window_fits,
     acf_estimate,
     smooth_periodogram,
     spectral_window,
@@ -90,10 +91,6 @@ def _write_columns(out: str | None, comment: str, columns: dict) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def _comment(argv: list) -> str:
-    return "predspec " + " ".join(argv)
 
 
 # ------------------------------------------------------------- flag plumbing
@@ -186,79 +183,56 @@ def _mean_config(args) -> SpectralMeanConfig:
 
 # ---------------------------------------------------------------- subcommands
 
-def _cmd_periodogram(args, argv) -> int:
+def _cmd_periodogram(args) -> dict:
     ts = _load_input(args)
     pg = _estimate(args, ts, _parse_grid(args.grid, ts.n))
-    _write_columns(
-        args.out,
-        _comment(argv),
-        {
-            "frequency": pg.grid.frequencies,
-            "re": pg.values.real,
-            "im": pg.values.imag,
-        },
-    )
-    return 0
+    return {
+        "frequency": pg.grid.frequencies,
+        "re": pg.values.real,
+        "im": pg.values.imag,
+    }
 
 
-def _cmd_smooth(args, argv) -> int:
+def _cmd_smooth(args) -> dict:
     ts = _load_input(args)
-    window = spectral_window(args.window, _number(int, args.m, "--m"))
-    pg = _estimate(args, ts, FrequencyGrid.fourier(ts.n))
-    sm = smooth_periodogram(pg, window)
-    _write_columns(
-        args.out,
-        _comment(argv),
-        {"frequency": sm.grid.frequencies, "value": sm.values.real},
-    )
-    return 0
+    window = spectral_window(args.window, _window_fits(_number(int, args.m, "--m"), ts.n))
+    sm = smooth_periodogram(_estimate(args, ts, FrequencyGrid.fourier(ts.n)), window)
+    return {"frequency": sm.grid.frequencies, "value": sm.values.real}
 
 
-def _cmd_acf(args, argv) -> int:
+def _cmd_acf(args) -> dict:
     ts = _load_input(args)
     lags = _number(int, args.lags, "--lags")
     autocov, acf = acf_estimate(ts, lags, _estimator_from_flags(args), _mean_config(args))
-    _write_columns(
-        args.out,
-        _comment(argv),
-        {"lag": np.arange(lags + 1), "autocov": autocov, "acf": acf},
-    )
-    return 0
+    return {"lag": np.arange(lags + 1), "autocov": autocov, "acf": acf}
 
 
-def _cmd_whittle(args, argv) -> int:
+def _cmd_whittle(args) -> dict:
     ts = _load_input(args)
     name, _, param = args.family.partition(":")
     if name != "ar" or not param:
         raise DomainError("family must be 'ar:P' for an AR(P) spectral family")
     p = _number(int, param, "the family order")
     result = whittle_fit(ts, p, _estimator_from_flags(args), cfg=_mean_config(args))
-    _write_columns(
-        args.out,
-        _comment(argv),
-        {
-            "parameter": np.arange(1, p + 1),
-            "estimate": result.theta,
-        },
-    )
     status = "converged" if result.converged else "did not converge"
     print(
         f"# objective {_fmt(result.value)} after {len(result.trace)} evaluations ({status})",
         file=sys.stderr,
     )
-    return 0
+    return {
+        "parameter": np.arange(1, p + 1),
+        "estimate": result.theta,
+    }
 
 
-def _cmd_simulate(args, argv) -> int:
+def _cmd_simulate(args) -> dict:
     model = _parse_model_token(args.model)
     ts = simulate_arma(model, _number(int, args.n, "--n"), _number(int, args.seed, "--seed"))
-    _write_columns(args.out, _comment(argv), {"value": ts.values})
-    return 0
+    return {"value": ts.values}
 
 
-def _cmd_experiment(args, argv) -> int:
-    spec = parse_experiment_config(_read_text(args.config))
-    table = run_experiment(spec)
+def _cmd_experiment(args) -> tuple:
+    table = run_experiment(parse_experiment_config(_read_text(args.config)))
     acf_mode = table.mode == "acf"
     cols = {
         "estimator": [row.estimator for row in table.rows],
@@ -267,12 +241,10 @@ def _cmd_experiment(args, argv) -> int:
         ("mse_se" if acf_mode else "imse_se"): [row.imse_se for row in table.rows],
         ("bias_se" if acf_mode else "ibias_se"): [row.ibias_se for row in table.rows],
     }
-    comment = f"{_comment(argv)} (mode={table.mode}, runtime={table.runtime_seconds:.2f}s)"
-    _write_columns(args.out, comment, cols)
-    return 0
+    return cols, f" (mode={table.mode}, runtime={table.runtime_seconds:.2f}s)"
 
 
-def _cmd_verify(args, argv) -> int:
+def _cmd_verify(args) -> int:
     results = verify_mod.run_suite(args.suite)
     all_passed = True
     for res in results:
@@ -398,7 +370,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args, argv)
+        result = args.func(args)
+        if isinstance(result, int):  # verify's exit code
+            return result
+        # the columns, and experiment's note on its mode and runtime
+        columns, note = result if isinstance(result, tuple) else (result, "")
+        _write_columns(args.out, f"predspec {' '.join(argv)}{note}", columns)
+        return 0
     except SystemExit as exc:  # from argparse: 2 after a usage error, 0 after --help
         return exc.code
     except DomainError as exc:

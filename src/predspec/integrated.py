@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .arfit import _ar_phases, _causal, _levinson_rows
+from .arfit import _ar_phases, _causal, _levinson_rows, _step_up
 from .core import FrequencyGrid, PeriodogramEstimate, TimeSeries, _integer, _positive, _toeplitz, _vector
 from .complete import threshold_real
 from .estimators import EstimatorSpec, evaluate_estimator
@@ -41,6 +41,7 @@ class SpectralWindow:
     weights: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _integer(self.m, "window half-width m", 1))
         w = _vector(self, "weights", "window weights")
         if w.size != 2 * self.m + 1:
             raise DomainError("window must hold 2m+1 weights")
@@ -132,10 +133,10 @@ def _cosine_moments(vals: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (vals[..., None, :] @ table)[..., 0, :] / table.shape[0]
 
 
-def _check_window_fits(window: SpectralWindow, n: int) -> None:
-    """DomainError unless the window's 2m+1 offsets fit on an n-point grid."""
-    if 2 * window.m + 1 > n:
-        raise DomainError("window wider than the frequency grid")
+def _window_fits(m, n: int) -> int:
+    """The half-width m of a window whose 2m+1 offsets fit on an n-point grid,
+    checked before any weights are built: an integer in 1..(n-1)/2."""
+    return _integer(m, "window half-width m", 1, below=(n + 1) // 2)
 
 
 def _smooth_rows(vals: np.ndarray, window: SpectralWindow) -> np.ndarray:
@@ -193,7 +194,7 @@ def smooth_periodogram(pg: PeriodogramEstimate, window: SpectralWindow) -> Perio
     """
     if pg.grid.kind != "fourier":
         raise DomainError("smoothing is defined over the Fourier grid")
-    _check_window_fits(window, pg.grid.size)
+    _window_fits(window.m, pg.grid.size)
     out = _smooth_rows(pg.values.real, window)
     meta = replace(pg.meta, window=f"{window.kind}(m={window.m})")
     return PeriodogramEstimate(pg.grid, out.astype(complex), kind=pg.kind, meta=meta)
@@ -218,11 +219,13 @@ class WhittleResult:
     converged: bool
 
 
-# Newton's stopping tolerance on the step, its iteration cap, and the step
-# halvings tried per iteration.
+# Newton's stopping tolerance on the step, its iteration cap, the step
+# halvings tried per iteration, and the bound |kappa| <= 1 - 1e-8 that keeps
+# each reflection coefficient inside the causal box.
 _STEP_TOL = 1e-10
 _NEWTON_CAP = 50
 _HALVINGS = 60
+_KAPPA_BOUND = 1.0 - 1e-8
 
 
 def whittle_fit(
@@ -242,16 +245,27 @@ def whittle_fit(
     midpoint cells, no threshold).  So up to that quadrature error the
     minimizer is the Yule-Walker solution on the estimate's cosine moments
     c(0..p), the fit's start; moments that are not positive definite raise
-    NumericalError.  Newton steps on the discretized K follow: the gradient
-    and the Hessian come from the `_ar_phases` table, the Hessian's
-    eigenvalues are floored to positive, and each step is halved until it is
-    causal (the root rule of `ArmaModel`'s AR part) and lowers K.  A trial's
-    change in K is summed from its change in |a_theta|**2, so rounding in K
-    does not decide it.  The fit converges when a step is below 1e-10 in
-    every coordinate; it returns converged=False when no halving of a step
-    lowers K or after 50 steps, which happens where the infimum lies on the
-    causal boundary.  `trace` holds (theta, K) at the start and after each
-    accepted step.
+    NumericalError.
+
+    Newton steps on the discretized K follow, taken in the reflection
+    coefficients kappa of theta (Levinson's step-up map, `_step_up`), where
+    the causal region is the box |kappa_j| < 1.  The gradient and the
+    Hessian in theta come from the `_ar_phases` table, the Hessian's
+    eigenvalues are floored to positive, and the step-up's Jacobian J carries
+    them to kappa.  A coefficient at the bound |kappa_j| = 1 - 1e-8 whose
+    descent direction points out of the box is held; the Newton system is
+    solved over the others, and each halving of the step is clipped onto the
+    box, so a step that leaves the box turns along its face.  A trial is
+    accepted when it is causal (the root rule of `ArmaModel`'s AR part) and
+    lowers K; its change in K is summed from its change in |a_theta|**2, so
+    rounding in K does not decide it.  The fit converges when the Newton
+    step in theta (J times the step in kappa when none is held) is below
+    1e-10 in every coordinate.  It returns converged=False when the step
+    over the free coordinates is that small with a coefficient held, when no
+    halving lowers K, or after 50 steps; such a fit ends with a coefficient
+    on the face of the box, at a boundary infimum of the discretized K (in
+    every fit measured, on the Fourier grids of n = 20 and 30 up to p = 4).
+    `trace` holds (theta, K) at the start and after each accepted step.
 
     `init`, when given, is checked (p finite numbers) and has no effect: the
     start is the Yule-Walker solution.  It stays in the signature for the
@@ -273,7 +287,8 @@ def whittle_fit(
         coeffs, _ = _levinson_rows(_cosine_moments(vals, table)[None], p)
     except NumericalError as err:
         raise NumericalError(f"{err}; use a thresholded estimate (set cfg.threshold)") from None
-    theta = coeffs[0, p].copy()
+    kappa = coeffs[0, 1:].diagonal()  # the reflection coefficients coeffs[0, m, m-1]
+    theta = coeffs[0, p].copy()  # their step-up
     if not _causal(theta):
         raise NumericalError("the Yule-Walker start is not causal: a root within 1e-10 of the unit circle")
     phases = _ar_phases(w, p)
@@ -297,22 +312,32 @@ def whittle_fit(
         hess = 2.0 * _toeplitz(_cosine_moments(resid, table), p) + 4.0 * (rg.T @ rg) / w.size
         eig, vec = np.linalg.eigh(hess)
         eig = np.maximum(np.abs(eig), 1e-8 * np.abs(eig).max())
-        step = vec @ ((grad @ vec) / eig)
-        if np.abs(step).max() <= _STEP_TOL:
+        if np.abs(vec @ ((grad @ vec) / eig)).max() <= _STEP_TOL:
             converged = True
             break
+        _, jac = _step_up(kappa)
+        grad_k = grad @ jac
+        free = ~((np.abs(kappa) >= _KAPPA_BOUND) & (kappa * grad_k < 0.0))
+        # J_F' H J_F step_F = J_F' grad as least squares in H = L L', which
+        # does not square J's conditioning near the face of the box
+        root = np.sqrt(eig)
+        step = np.zeros(p)
+        step[free] = np.linalg.lstsq(root[:, None] * (vec.T @ jac[:, free]), (grad @ vec) / root, rcond=None)[0]
+        if np.abs(jac @ step).max() <= _STEP_TOL:
+            break
         for t in 0.5 ** np.arange(_HALVINGS):
-            trial = theta - t * step
+            trial_k = np.clip(kappa - t * step, -_KAPPA_BOUND, _KAPPA_BOUND)
+            trial = _step_up(trial_k)[0]
             if not _causal(trial):
                 continue
             # K(trial) - K(theta) summed from the change in g: near the
             # minimum it is below the rounding of K itself
-            da = np.inner(t * step, phases)
+            da = np.inner(theta - trial, phases)
             dg = 2.0 * (aw.conj() * da).real + da.real**2 + da.imag**2
             with np.errstate(divide="ignore", invalid="ignore"):
                 lower = np.mean(vals * dg) < np.mean(np.log1p(dg / g))
             if lower:
-                theta = trial
+                theta, kappa = trial, trial_k
                 aw, g = at(theta)
                 break
         else:

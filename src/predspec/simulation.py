@@ -22,10 +22,10 @@ from .estimators import EstimatorSpec, _plans
 from .exceptions import DomainError
 from .integrated import (
     SpectralMeanConfig,
-    _check_window_fits,
     _cosine_moments,
     _cosine_table,
     _smooth_rows,
+    _window_fits,
     spectral_window,
 )
 
@@ -159,8 +159,7 @@ class ExperimentSpec:
                 kind, m = self.smoothing
             except (TypeError, ValueError):
                 raise DomainError("smoothing must be a (window kind, m) pair") from None
-            window = spectral_window(kind, m)
-            _check_window_fits(window, self.n)
+            window = spectral_window(kind, _window_fits(m, self.n))
             object.__setattr__(self, "smoothing", (kind, window.m))
             if self.acf_lags is not None:
                 raise DomainError("smoothing and ACF modes are mutually exclusive")

@@ -30,7 +30,9 @@ from predspec import (
     threshold_real,
     whittle_fit,
 )
-from predspec.arfit import _transfer_polynomial
+from predspec import arfit
+from predspec.arfit import _transfer_polynomial, _yule_walker_rows
+from predspec.integrated import _KAPPA_BOUND
 
 
 # ------------------------------------------------------------------ windows
@@ -66,6 +68,28 @@ def test_spectral_window_rejects_m0():
         spectral_window("daniell", 0)
     with pytest.raises(DomainError):
         spectral_window("parzen", 2)
+
+
+def test_window_half_width_is_checked_before_its_weights(tmp_path):
+    """A half-width far too wide for the series is rejected before the
+    O(m) weights are built, by the CLI and by ExperimentSpec."""
+    import tracemalloc
+
+    from predspec.cli import main
+
+    src = tmp_path / "x.csv"
+    src.write_text("\n".join(map(repr, np.sin(np.arange(300.0)))) + "\n")
+    m = 2_000_000  # 16 MB per array of weights
+    tracemalloc.start()
+    try:
+        assert main(["smooth", str(src), "--window", "daniell", "--m", str(m)]) == 2
+        with pytest.raises(DomainError, match="window half-width m must be < 25"):
+            ExperimentSpec(model=builtin_models("m1", 0.7), n=50, replications=1,
+                           estimators=[EstimatorSpec("regular")], seed=0, smoothing=("daniell", m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------- smoothing
@@ -291,6 +315,8 @@ _FOURIER = SpectralMeanConfig(points=None)
         (lambda: SpectralWindow("daniell", 1, [0.5, 0.5]), DomainError, "2m\\+1 weights"),
         (lambda: SpectralWindow("daniell", 1, [0.6, 0.6, -0.2]), DomainError, "nonnegative"),
         (lambda: SpectralWindow("daniell", 1, [0.3, 0.3, 0.3]), DomainError, "sum to 1"),
+        (lambda: SpectralWindow("daniell", 1.0, [1 / 3] * 3), DomainError, "half-width m must be an integer"),
+        (lambda: SpectralWindow("daniell", 0, [1.0]), DomainError, "half-width m must be >= 1"),
         (
             lambda: spectral_mean(
                 lambda w: np.ones(3), raw_periodogram(TimeSeries(np.ones(8)), FrequencyGrid.fourier(8)), _FOURIER
@@ -336,7 +362,8 @@ _FOURIER = SpectralMeanConfig(points=None)
         ),
     ],
     ids=[
-        "window-size", "window-negative", "window-sum", "g-shape", "acf-lags", "acf-variance",
+        "window-size", "window-negative", "window-sum", "window-float-m", "window-m0",
+        "g-shape", "acf-lags", "acf-variance",
         "whittle-init-length", "whittle-init-2d", "whittle-init-nan", "whittle-init-inf",
         "whittle-not-positive-definite", "whittle-unit-root-start",
     ],
@@ -489,17 +516,88 @@ def test_whittle_high_orders_converge():
         assert res.converged and res.value < 0.95
 
 
+def _step_down(theta):
+    """The reflection coefficients of AR coefficients theta: the inverse of
+    the step-up map, exact in the last one."""
+    a = np.asarray(theta, dtype=float)
+    kappa = np.empty(a.size)
+    for m in range(a.size, 0, -1):
+        kappa[m - 1] = k = a[m - 1]
+        a = (a[: m - 1] + k * a[: m - 1][::-1]) / (1.0 - k * k)
+    return kappa
+
+
+def _on_box_face(theta):
+    """Whether a reflection coefficient of theta sits at the bound 1 - 1e-8."""
+    return np.min(np.abs(_KAPPA_BOUND - np.abs(_step_down(theta)))) <= 1e-12
+
+
 def test_whittle_boundary_infimum_is_not_converged():
     """On the Fourier grid of n = 20 the discretized objective can fall
-    toward the causal boundary: the fit stops at the step cap, or where no
-    halving of a step lowers K, and reports it."""
-    cases = [(0.7, 2, 51), (0.9, 3, 33)]  # (m1 lambda, order, evaluations)
-    for lam, p, evals in cases:
+    toward the causal boundary: the fit steps along the face of the box of
+    reflection coefficients, ends with one at the bound, and reports it.
+    The values are those where steps in theta, halved until causal, stalled."""
+    cases = [(0.7, 2, 0.3294473936737769), (0.9, 3, 0.4565113558164047)]  # (m1 lambda, order, K)
+    for lam, p, stalled in cases:
         ts = simulate_arma(builtin_models("m1", lam), 20, 8).center()
         res = whittle_fit(ts, p, EstimatorSpec("regular"), [0.0] * p, _FOURIER)
         ArmaModel(res.theta, [], 1.0)
-        assert not res.converged and len(res.trace) == evals
-        assert res.value < res.trace[0][1]
+        assert not res.converged and _on_box_face(res.theta)
+        assert res.value < stalled
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    lam=st.sampled_from([0.7, 0.9, 0.95]),
+    p=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["regular", "complete", "tapered-complete"]),
+)
+def test_whittle_short_fourier_fits_converge_or_end_on_the_box_face(lam, p, seed, kind):
+    """On the Fourier grid of n = 20, where the infimum often lies on the
+    causal boundary, a fit that does not converge ends at a bound of kappa."""
+    ts = simulate_arma(builtin_models("m1", lam), 20, seed).center()
+    res = whittle_fit(ts, p, EstimatorSpec(kind), [0.0] * p, _FOURIER)
+    ArmaModel(res.theta, [], 1.0)
+    assert res.converged or _on_box_face(res.theta)
+
+
+def test_whittle_trials_pass_the_causal_root_rule():
+    """A kappa inside the box can step up to a root beyond `ArmaModel`'s
+    radius 1 - 1e-10, so each trial still passes that rule.  Without it this
+    fit would end with a root on the unit circle to rounding."""
+    assert not arfit._causal(arfit._step_up(np.array([_KAPPA_BOUND, 0.99]))[0])
+    ts = simulate_arma(builtin_models("m1", 0.95), 20, 8).center()
+    res = whittle_fit(ts, 4, EstimatorSpec("complete"), [0.0] * 4, _FOURIER)
+    ArmaModel(res.theta, [], 1.0)
+    assert not res.converged and _on_box_face(res.theta)
+
+
+def test_step_up_reproduces_the_levinson_table():
+    """The step-up of each diagonal of `_levinson_rows` is its coefficient
+    row bit for bit, at every order."""
+    x = np.random.default_rng(5).standard_normal((200, 40))
+    x[100:] = np.cumsum(x[100:], axis=1)  # near-unit-root rows: reflection coefficients near 1
+    coeffs, _ = _yule_walker_rows(x - x.mean(axis=1, keepdims=True), 8)
+    for row in coeffs:
+        for m in range(1, 9):
+            assert np.array_equal(arfit._step_up(row[1 : m + 1].diagonal())[0], row[m, :m])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kappa=st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=8))
+def test_step_up_jacobian_matches_central_differences(kappa):
+    """theta is linear in each reflection coefficient, so central differences
+    are exact up to rounding."""
+    kappa = np.array(kappa)
+    theta, jac = arfit._step_up(kappa)
+    np.testing.assert_array_equal(theta, _step_up(kappa))
+    h = 1e-3
+    for j in range(kappa.size):
+        e = np.zeros(kappa.size)
+        e[j] = h
+        diff = (arfit._step_up(kappa + e)[0] - arfit._step_up(kappa - e)[0]) / (2 * h)
+        np.testing.assert_allclose(jac[:, j], diff, rtol=0, atol=1e-10)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
